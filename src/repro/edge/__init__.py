@@ -17,6 +17,7 @@ from repro.edge.central import (
 from repro.edge.client import Client
 from repro.edge.deploy import Deployment, EdgeProcess, ShardedDeployment
 from repro.edge.edge_server import EdgeConfig, EdgeResponse, EdgeServer
+from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.fanout import (
     AdaptiveWindow,
     FanoutEngine,
@@ -38,7 +39,6 @@ from repro.edge.router import (
     in_process_query_channel,
 )
 from repro.edge.sharding import ShardMap, ShardedCentral, stable_hash
-from repro.edge.socket_transport import TcpTransport
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
@@ -69,6 +69,7 @@ __all__ = [
     "DeploymentQueryChannel",
     "DropTuple",
     "EdgeConfig",
+    "EdgeEventLoop",
     "EdgeProcess",
     "EdgeResponse",
     "EdgeRouter",
@@ -82,6 +83,7 @@ __all__ = [
     "PeerState",
     "QueryRequestFrame",
     "QueryResponseFrame",
+    "ReactorTransport",
     "RemoteEdgeHandle",
     "ReplicationMode",
     "ResponseTamper",
@@ -95,7 +97,6 @@ __all__ = [
     "SnapshotFrame",
     "SpuriousTuple",
     "StaleReplay",
-    "TcpTransport",
     "Transfer",
     "Transport",
     "TransportQueryChannel",

@@ -96,8 +96,9 @@ class CentralServer:
         fanout_window: Initial per-edge bound on unacknowledged
             in-flight replication frames (flow control — see
             :class:`~repro.edge.fanout.FanoutEngine`).
-        fanout_workers: Thread-pool size for concurrent per-edge
-            delivery; 1 (default) is a deterministic serial sweep.
+        fanout_workers: Must be ``1``: delivery is one deterministic
+            serial sweep.  Accepted for existing callers; any other
+            value raises ``ValueError``.
         fanout_window_min: Adaptive-window floor (see
             :class:`~repro.edge.fanout.AdaptiveWindow`).
         fanout_window_max: Adaptive-window ceiling; ``None`` pins the
@@ -132,6 +133,8 @@ class CentralServer:
         ack_bytes: int = 1 << 18,
         shard_id: int = -1,
     ) -> None:
+        if fanout_workers != 1:
+            raise ValueError(f"fanout_workers must be 1, got {fanout_workers!r}")
         self.db_name = db_name
         self.shard_id = shard_id
         self.policy = policy
@@ -158,7 +161,6 @@ class CentralServer:
         self.fanout = FanoutEngine(
             self,
             window=fanout_window,
-            workers=fanout_workers,
             window_min=fanout_window_min,
             window_max=fanout_window_max,
         )
@@ -634,7 +636,7 @@ class CentralServer:
     ) -> RemoteEdgeHandle:
         """Register an edge living in another process, reachable only
         through ``transport`` (normally a
-        :class:`~repro.edge.socket_transport.TcpTransport` over an
+        :class:`~repro.edge.event_loop.ReactorTransport` over an
         accepted connection).
 
         Re-attaching an already known name replaces its link and

@@ -48,15 +48,16 @@ from repro.core.wire import predicate_to_bytes, result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
-from repro.edge import telemetry
-from repro.edge.socket_transport import TcpTransport, recv_frame, send_frame
+from repro.edge.socket_transport import (
+    recv_hello,
+    send_frame,
+    serve_registrations,
+)
 from repro.edge.transport import (
-    HelloFrame,
     Transport,
     QueryRequestFrame,
     QueryResponseFrame,
     config_to_frame,
-    frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
     secondary_query_frame,
@@ -113,19 +114,15 @@ class Deployment:
         central: The trusted central server (lives in this process).
         host: Listen address (loopback by default).
         port: Listen port (``0`` = ephemeral; read :attr:`address`).
-        io_timeout: Receive timeout on every accepted edge link.
+        io_timeout: Reply deadline on every accepted edge link, and the
+            total time a dialer has to deliver its registration hello.
         log_dir: Directory for per-edge stdout/stderr logs; edges are
             silenced (``/dev/null``) when not given.
-        io_mode: ``"reactor"`` (default) serves every accepted edge
-            link from one shared :class:`~repro.edge.event_loop.EdgeEventLoop`
-            — single-threaded, non-blocking, vectored writes; the
-            fan-out engine's settle points become readiness-driven.
-            ``"threaded"`` is the blocking-``sendall``
-            :class:`~repro.edge.socket_transport.TcpTransport` path,
-            kept as a selectable fallback (every deployment test runs
-            against both; see the ``REPRO_IO_MODE`` env override).
+        io_mode: Only ``"reactor"`` is accepted (anything else raises
+            ``ValueError``): every accepted edge link is served from
+            one :class:`~repro.edge.event_loop.EdgeEventLoop`.
         reactor: Share an existing :class:`EdgeEventLoop` instead of
-            owning a private one (reactor mode only).  A sharded
+            owning a private one.  A sharded
             deployment runs one ``Deployment`` per signer shard on one
             machine; sharing the loop keeps every shard's accepted
             links on a single selector.  A shared reactor is *not*
@@ -143,26 +140,19 @@ class Deployment:
         port: int = 0,
         io_timeout: float = 10.0,
         log_dir: str | None = None,
-        io_mode: str | None = None,
+        io_mode: str = "reactor",
         reactor: EdgeEventLoop | None = None,
         shard_map=None,
     ) -> None:
+        if io_mode != "reactor":
+            raise ValueError(f"io_mode must be 'reactor', got {io_mode!r}")
         self.central = central
         self.io_timeout = io_timeout
         self.log_dir = log_dir
         self.shard_map = shard_map
-        self.io_mode = (
-            io_mode or os.environ.get("REPRO_IO_MODE", "reactor")
-        ).lower()
-        if self.io_mode not in ("reactor", "threaded"):
-            raise ValueError(
-                f"io_mode must be 'reactor' or 'threaded', got {self.io_mode!r}"
-            )
-        self.reactor: EdgeEventLoop | None = None
         self._owns_reactor = reactor is None
-        if self.io_mode == "reactor":
-            self.reactor = reactor if reactor is not None else EdgeEventLoop()
-            central.fanout.reactor = self.reactor
+        self.reactor = reactor if reactor is not None else EdgeEventLoop()
+        central.fanout.reactor = self.reactor
         self.edges: dict[str, EdgeProcess] = {}
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -170,7 +160,10 @@ class Deployment:
         self._listener.listen()
         self._closed = False
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="deploy-accept", daemon=True
+            target=serve_registrations,
+            args=(self._listener, self._handshake, "deploy.accept_loop"),
+            name="deploy-accept",
+            daemon=True,
         )
         self._accept_thread.start()
 
@@ -184,41 +177,10 @@ class Deployment:
         host, port = self._listener.getsockname()[:2]
         return host, port
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            try:
-                self._handshake(conn)
-            except (TransportError, OSError) as exc:
-                # A broken dialer must not take the listener down.
-                telemetry.note("deploy.accept_loop.handshake", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            except Exception as exc:  # broad by design: anything else is
-                # a bug worth counting, not a torn socket.
-                telemetry.note("deploy.accept_loop.unexpected", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
     def _handshake(self, conn: socket.socket) -> None:
         """Serve one edge registration (runs on the accept thread)."""
-        conn.settimeout(self.io_timeout)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        data = recv_frame(conn)
-        if data is None:
-            raise TransportError("edge closed during handshake")
-        hello = frame_from_bytes(data)
-        if not isinstance(hello, HelloFrame):
-            raise TransportError(
-                f"expected HelloFrame, got {type(hello).__name__}"
-            )
+        hello = recv_hello(conn, self.io_timeout)
         config = config_to_frame(
             self.central.edge_config(),
             ack_every=self.central.ack_every,
@@ -229,13 +191,9 @@ class Deployment:
             ),
         )
         send_frame(conn, frame_to_bytes(config))
-        transport: Transport
-        if self.reactor is not None:
-            transport = ReactorTransport(
-                hello.edge, self.reactor, conn, timeout=self.io_timeout
-            )
-        else:
-            transport = TcpTransport(hello.edge, conn, timeout=self.io_timeout)
+        transport = ReactorTransport(
+            hello.edge, self.reactor, conn, timeout=self.io_timeout
+        )
         # Seed the peer with the epoch of the bundle we *actually sent*
         # — a rotation racing this handshake must still trigger a
         # refresh on the next pump.
@@ -389,8 +347,8 @@ class Deployment:
         Each round pumps the fan-out engine and then drains the
         pipelined acks; multiple rounds let the nack→retry→snapshot
         escalation run to quiescence (a heal needs one round to learn
-        of the problem and one to ship the fix).  Under the reactor
-        the drain is readiness-driven: every edge's queued frames and
+        of the problem and one to ship the fix).  The drain is
+        readiness-driven: every edge's queued frames and
         its cursor probe leave in one vectored write, and one shared
         ``select`` loop settles the whole fleet as acks land — no
         per-peer probe→poll rounds, no busy polling.
@@ -556,11 +514,10 @@ class Deployment:
         for handle in handles:
             if handle.transport is not None:
                 handle.transport.close()
-        if self.reactor is not None:
-            if self._owns_reactor:
-                self.reactor.close()
-            if self.central.fanout.reactor is self.reactor:
-                self.central.fanout.reactor = None
+        if self._owns_reactor:
+            self.reactor.close()
+        if self.central.fanout.reactor is self.reactor:
+            self.central.fanout.reactor = None
         for handle in handles:
             proc = handle.process
             if proc is None or proc.poll() is not None:
@@ -610,7 +567,7 @@ class RelayDeployment:
     Args:
         central: The trusted central server (lives in this process).
         host: Listen address for the central and every relay.
-        io_timeout / log_dir / io_mode: As for :class:`Deployment`.
+        io_timeout / log_dir: As for :class:`Deployment`.
     """
 
     def __init__(
@@ -619,13 +576,11 @@ class RelayDeployment:
         host: str = "127.0.0.1",
         io_timeout: float = 10.0,
         log_dir: str | None = None,
-        io_mode: str | None = None,
     ) -> None:
         self.host = host
         self.log_dir = log_dir
         self.deploy = Deployment(
-            central, host=host, io_timeout=io_timeout,
-            log_dir=log_dir, io_mode=io_mode,
+            central, host=host, io_timeout=io_timeout, log_dir=log_dir
         )
         self.central = central
         self.relays: dict[str, EdgeProcess] = {}
@@ -930,8 +885,8 @@ class ShardedDeployment:
     The multi-process face of
     :class:`~repro.edge.sharding.ShardedCentral`: every shard gets its
     own :class:`Deployment` (own TCP listener, own fan-out engine, own
-    edge processes), while reactor mode shares a single
-    :class:`~repro.edge.event_loop.EdgeEventLoop` across all of them —
+    edge processes), while one shared
+    :class:`~repro.edge.event_loop.EdgeEventLoop` serves all of them —
     N signer shards' worth of accepted links on one selector.  Each
     shard's handshake ``ConfigFrame`` carries the plane's versioned
     shard map plus that shard's id and public keys, so a registering
@@ -941,7 +896,7 @@ class ShardedDeployment:
     Args:
         sharded: The sharded central plane.
         host: Listen address for every shard listener.
-        io_mode / io_timeout / log_dir: As for :class:`Deployment`.
+        io_timeout / log_dir: As for :class:`Deployment`.
     """
 
     def __init__(
@@ -950,20 +905,15 @@ class ShardedDeployment:
         host: str = "127.0.0.1",
         io_timeout: float = 10.0,
         log_dir: str | None = None,
-        io_mode: str | None = None,
     ) -> None:
         self.sharded = sharded
-        mode = (io_mode or os.environ.get("REPRO_IO_MODE", "reactor")).lower()
-        self.reactor: EdgeEventLoop | None = (
-            EdgeEventLoop() if mode == "reactor" else None
-        )
+        self.reactor = EdgeEventLoop()
         self.deployments: list[Deployment] = [
             Deployment(
                 shard,
                 host=host,
                 io_timeout=io_timeout,
                 log_dir=log_dir,
-                io_mode=mode,
                 reactor=self.reactor,
                 shard_map=sharded.shard_map,
             )
@@ -1014,8 +964,7 @@ class ShardedDeployment:
         """Shut down every shard deployment, then the shared reactor."""
         for deploy in self.deployments:
             deploy.shutdown(timeout=timeout)
-        if self.reactor is not None:
-            self.reactor.close()
+        self.reactor.close()
 
     def __enter__(self) -> "ShardedDeployment":
         return self

@@ -1,10 +1,10 @@
 """Single-threaded non-blocking fan-out: the reactor hot path.
 
-The threaded deployment spends one blocking ``sendall`` (and, at settle
+A thread per edge would spend one blocking ``sendall`` (and, at settle
 points, one blocking reply read) per edge per frame — fine for tens of
 edges, hopeless for the fleet sizes the paper's edge model targets.
-This module rewrites the central-side delivery hot path as a classic
-reactor (DESIGN.md section 11):
+This module is the central-side delivery path instead, a classic
+reactor (DESIGN.md section 11) that carries every TCP edge link:
 
 * :class:`EdgeEventLoop` — a ``selectors``-based event loop owning all
   edge sockets in non-blocking mode.  Each connection keeps an
@@ -28,9 +28,9 @@ reactor (DESIGN.md section 11):
   drive hundreds of TCP edges without hundreds of threads or OS
   processes.
 
-The wire protocol is byte-identical to the threaded path: the same
+The wire protocol is byte-identical to the in-process link: the same
 frames, the same cumulative-ack and monotonic-cursor semantics
-(DESIGN.md section 10) — only *when* syscalls happen changes.
+(DESIGN.md section 10) — only the medium changes.
 
 Role and ownership: this module is plumbing, not policy — it moves
 bytes for whichever seat owns the loop.  Every socket registered with
@@ -66,8 +66,7 @@ from repro.edge.socket_transport import (
     FrameDecoder,
     MAX_FRAME_BYTES,
     connect_with_retry,
-    recv_frame,
-    send_frame,
+    send_hello,
 )
 from repro.edge.transport import (
     CursorAckFrame,
@@ -401,12 +400,10 @@ class EdgeEventLoop:
 class ReactorTransport(Transport):
     """Central-side transport over one :class:`EdgeEventLoop` connection.
 
-    The event-driven sibling of
-    :class:`~repro.edge.socket_transport.TcpTransport`: the same frame
-    protocol, the same pipelined surface, but ``send`` never performs a
-    syscall — frames queue on the connection and ship in vectored
-    batches when the loop spins (drain, settle, or query time).  Fault
-    semantics and byte metering mirror
+    The pipelined TCP :class:`~repro.edge.transport.Transport`:
+    ``send`` never performs a syscall — frames queue on the connection
+    and ship in vectored batches when the loop spins (drain, settle,
+    or query time).  Fault semantics and byte metering mirror
     :class:`~repro.edge.transport.InProcessTransport` outcome-for-outcome
     so parity benches compare equals:
 
@@ -521,8 +518,8 @@ class ReactorTransport(Transport):
                 self._loop.close_conn(self._conn)
                 break
             if isinstance(reply, CursorAckFrame):
-                # Cumulative: answers everything received before it
-                # (same accounting as TcpTransport._read_reply).
+                # Cumulative: answers everything the peer received
+                # before emitting it (FIFO link, cursors cover all).
                 self._pending = 0
             else:
                 self._pending = max(0, self._pending - 1)
@@ -538,9 +535,7 @@ class ReactorTransport(Transport):
         delivered, so draining five hundred peers costs five hundred
         list-swaps, not five hundred selects.  ``wait=True`` spins the
         loop until every pending frame is answered one-for-one or a
-        cumulative ack zeroes the count (the
-        :meth:`TcpTransport.flush <repro.edge.socket_transport.TcpTransport.flush>`
-        contract), bounded by ``timeout``.
+        cumulative ack zeroes the count, bounded by ``timeout``.
         """
         with self._lock:
             replies = self._collect()
@@ -583,7 +578,8 @@ class ReactorTransport(Transport):
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (query path).
 
-        Matches by *type* like the threaded transport: the first
+        Matches by *type* (a peer deferring acks answers fewer frames
+        than it received): the first
         :class:`~repro.edge.transport.QueryResponseFrame` after the
         send is the answer; replication replies read on the way are
         stashed for the next :meth:`flush`.  Driving :meth:`run_once`
@@ -670,11 +666,7 @@ class EdgeHost:
 
         sock = connect_with_retry(self.host, self.port, timeout=io_timeout)
         sock.settimeout(io_timeout)
-        send_frame(sock, frame_to_bytes(HelloFrame(edge=name, cursors=())))
-        data = recv_frame(sock)
-        if data is None:
-            raise TransportError("central closed during handshake")
-        config = frame_from_bytes(data)
+        config = send_hello(sock, HelloFrame(edge=name, cursors=()))
         edge = EdgeServer(
             name=name,
             config=config_from_frame(config),

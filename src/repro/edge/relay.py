@@ -86,8 +86,10 @@ from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.fanout import FanoutEngine, PeerState
 from repro.edge.socket_transport import (
     connect_with_retry,
-    recv_frame,
+    recv_hello,
     send_frame,
+    send_hello,
+    serve_registrations,
 )
 from repro.edge.transport import (
     AckFrame,
@@ -252,7 +254,7 @@ class RelayServer:
 
     Args:
         name: Relay name (its upstream link label / hello identity).
-        window / workers / ack settings: Forwarded to the downstream
+        window: Initial in-flight window of the downstream
             :class:`RelayFanout`.
         spot_check_every: Verify the signature of every Nth ingested
             delta frame (``0`` = never).  Purely a detection
@@ -276,7 +278,6 @@ class RelayServer:
         self,
         name: str,
         window: int = 8,
-        workers: int = 1,
         spot_check_every: int = 0,
         max_store_bytes: int = 0,
     ) -> None:
@@ -300,7 +301,7 @@ class RelayServer:
         self._upstream_config: Optional[ConfigFrame] = None
         self.ack_every = 1
         self.ack_bytes = 1 << 18
-        self.fanout = RelayFanout(self, window=window, workers=workers)
+        self.fanout = RelayFanout(self, window=window)
         self._lock = threading.RLock()
         #: Deltas ingested since the last spot check.
         self._ingested = 0
@@ -853,16 +854,8 @@ def run_relay(
         print(f"[relay {name}] listening on {bound[0]}:{bound[1]}", flush=True)
 
     def _downstream_handshake(conn: socket.socket) -> None:
-        conn.settimeout(io_timeout)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        data = recv_frame(conn)
-        if data is None:
-            raise TransportError("edge closed during handshake")
-        hello = frame_from_bytes(data)
-        if not isinstance(hello, HelloFrame):
-            raise TransportError(
-                f"expected HelloFrame, got {type(hello).__name__}"
-            )
+        hello = recv_hello(conn, io_timeout)
         # An edge may dial before the upstream handshake delivered the
         # config; make it wait briefly instead of failing its dial.
         deadline = time.monotonic() + io_timeout
@@ -876,31 +869,11 @@ def run_relay(
         if verbose:
             print(f"[relay {name}] edge {hello.edge} attached", flush=True)
 
-    def _accept_loop() -> None:
-        while not stop.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            try:
-                _downstream_handshake(conn)
-            except (TransportError, OSError) as exc:
-                # A broken dialer must not take the listener down.
-                telemetry.note("relay.accept_loop.handshake", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            except Exception as exc:  # broad by design: anything else is
-                # a bug worth counting, not weather.
-                telemetry.note("relay.accept_loop.unexpected", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
     accept_thread = threading.Thread(
-        target=_accept_loop, name=f"relay-{name}-accept", daemon=True
+        target=serve_registrations,
+        args=(listener, _downstream_handshake, "relay.accept_loop"),
+        name=f"relay-{name}-accept",
+        daemon=True,
     )
     accept_thread.start()
 
@@ -918,25 +891,10 @@ def run_relay(
                 raise
             sock.settimeout(io_timeout)
             try:
-                send_frame(
-                    sock,
-                    frame_to_bytes(
-                        HelloFrame(
-                            edge=name,
-                            cursors=relay.store_cursors(),
-                            role="relay",
-                        )
-                    ),
+                hello = HelloFrame(
+                    edge=name, cursors=relay.store_cursors(), role="relay"
                 )
-                data = recv_frame(sock)
-                if data is None:
-                    raise TransportError("upstream closed during handshake")
-                reply = frame_from_bytes(data)
-                if not isinstance(reply, ConfigFrame):
-                    raise TransportError(
-                        f"expected ConfigFrame, got {type(reply).__name__}"
-                    )
-                relay.adopt_config(reply)
+                relay.adopt_config(send_hello(sock, hello))
             except (TransportError, OSError) as exc:
                 telemetry.note("relay.upstream.handshake", exc)
                 try:

@@ -1,4 +1,4 @@
-"""Real-socket transport: the frame codec over TCP.
+"""Real-socket framing: the frame codec over TCP.
 
 The in-process transport proves the central↔edge boundary is
 message-shaped; this module makes it *physical*.  Frames travel
@@ -13,19 +13,23 @@ Wire protocol per connection (see DESIGN.md section 8):
 1. The *edge* connects to the central listener and sends a
    :class:`~repro.edge.transport.HelloFrame` — its name plus the
    replica cursors it already holds (empty for a fresh process).
+   Listeners read it with :func:`recv_hello`, which bounds both its
+   size and the time a dialer may take to deliver it.
 2. The *central* replies with a
    :class:`~repro.edge.transport.ConfigFrame` (the public verification
-   bundle) and attaches a :class:`TcpTransport` over the accepted
-   socket, seeding the fan-out engine's cursors from the hello.
+   bundle) and hands the accepted socket to a
+   :class:`~repro.edge.event_loop.ReactorTransport`, seeding the
+   fan-out engine's cursors from the hello.
 3. From then on the central pushes snapshot / delta / query frames;
    the edge answers every frame with exactly one reply frame (ack or
    query response), in order.
 
 Because replies are strictly ordered, the central side can *pipeline*:
-:meth:`TcpTransport.send` only writes (it never waits for the ack), and
-the fan-out engine's bounded in-flight window provides flow control
-exactly as it does for a slow in-process link.  Outstanding acks are
-collected by :meth:`TcpTransport.flush` at the start of the next pump.
+:meth:`ReactorTransport.send <repro.edge.event_loop.ReactorTransport.send>`
+only enqueues (it never waits for the ack), and the fan-out engine's
+bounded in-flight window provides flow control exactly as it does for
+a slow in-process link.  Outstanding acks are collected at the next
+loop spin.
 
 Failure mapping — every socket-level fault lands in the machinery that
 already exists for in-process faults, so a killed or wedged edge
@@ -34,13 +38,13 @@ process needs **no new recovery code**:
 =====================================  ================================
 socket condition                       mapped onto
 =====================================  ================================
-``ECONNRESET`` / ``EPIPE`` on write    ``SendOutcome(status="failed")``
+``ECONNRESET`` / ``EPIPE`` on flush    link closed; later sends report
+                                       ``SendOutcome(status="failed")``
                                        (like a partitioned link)
 EOF or reset while awaiting replies    link closed; in-flight frames
                                        forgotten, cursors stay behind
-receive timeout (hung peer)            link closed (wedged edge)
-mid-frame disconnect                   :class:`TransportError` →
-                                       link closed
+settle / reply deadline (hung peer)    link closed (wedged edge)
+mid-frame disconnect or bad header     link closed (traced)
 reconnect with cursors                 delta resume from the hello's
                                        cursors
 reconnect without cursors (restart)    epoch mismatch → snapshot heal
@@ -49,22 +53,15 @@ reconnect without cursors (restart)    epoch mismatch → snapshot heal
 
 from __future__ import annotations
 
-import select
 import socket
 import struct
-import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.edge import telemetry
-from repro.edge.network import Channel
 from repro.edge.transport import (
-    CursorAckFrame,
-    FaultInjector,
-    Frame,
-    QueryResponseFrame,
-    SendOutcome,
-    Transport,
+    ConfigFrame,
+    HelloFrame,
     frame_from_bytes,
     frame_to_bytes,
 )
@@ -73,12 +70,15 @@ from repro.exceptions import TransportError
 __all__ = [
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
+    "MAX_HELLO_BYTES",
     "FrameDecoder",
     "send_frame",
     "send_frames",
     "recv_frame",
+    "send_hello",
+    "recv_hello",
+    "serve_registrations",
     "connect_with_retry",
-    "TcpTransport",
 ]
 
 #: 4-byte big-endian frame length prefix.
@@ -88,6 +88,11 @@ FRAME_HEADER = struct.Struct(">I")
 #: anything near this limit is a corrupted or hostile length header).
 MAX_FRAME_BYTES = 1 << 30
 
+#: Upper bound on a registration hello: a name plus one cursor triple
+#: per replica is a few hundred bytes, so a larger declared length is a
+#: hostile or corrupted dialer, refused before a byte of body is read.
+MAX_HELLO_BYTES = 1 << 16
+
 #: Read granularity for :func:`recv_frame`.
 _RECV_CHUNK = 1 << 16
 
@@ -95,15 +100,12 @@ _RECV_CHUNK = 1 << 16
 #: every platform we run on; staying at half leaves headroom).
 _IOV_MAX = 512
 
-#: Sentinel: no complete reply buffered yet (non-blocking read path).
-_NOT_READY = object()
-
 
 class FrameDecoder:
     """Incremental zero-copy decoder for length-prefixed frame streams.
 
-    Shared by :class:`TcpTransport` and the event-loop reactor
-    (:mod:`repro.edge.event_loop`).  Bytes land directly in a growable
+    Used by the event-loop reactor (:mod:`repro.edge.event_loop`)
+    on every connection it owns.  Bytes land directly in a growable
     ``bytearray`` via :meth:`writable` + ``recv_into`` (no per-``recv``
     ``bytes`` concatenation), and :meth:`next_frame` pops complete
     frames with exactly one copy per frame — the ``bytes`` handed to
@@ -248,7 +250,13 @@ def send_frames(sock: socket.socket, frames) -> int:
     return total
 
 
-def _recv_exactly(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[bytes]:
+def _recv_exactly(
+    sock: socket.socket,
+    n: int,
+    *,
+    at_boundary: bool,
+    deadline: Optional[float] = None,
+) -> Optional[bytes]:
     """Read exactly ``n`` bytes, across as many partial reads as needed.
 
     Returns ``None`` on a clean EOF **before the first byte** when
@@ -261,11 +269,19 @@ def _recv_exactly(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional
     keep waiting (an edge between writes sees no traffic at all).  A
     timeout after bytes have been consumed would desynchronize the
     stream if retried, so it is a :class:`TransportError` like any
-    other torn frame.
+    other torn frame.  A ``deadline`` (``time.monotonic()`` value)
+    bounds the whole read rather than each ``recv``.
     """
     chunks: list[bytes] = []
     received = 0
     while received < n:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError(
+                    f"timed out mid-frame ({received}/{n} bytes)"
+                )
+            sock.settimeout(remaining)
         try:
             chunk = sock.recv(min(_RECV_CHUNK, n - received))
         except TimeoutError:
@@ -308,6 +324,85 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
     return body
 
 
+def send_hello(sock: socket.socket, hello: HelloFrame) -> ConfigFrame:
+    """Dialer side of registration: send ``hello``, return the
+    listener's :class:`~repro.edge.transport.ConfigFrame`.
+
+    Raises:
+        TransportError: If the listener closes or answers with
+            anything but a config.
+    """
+    send_frame(sock, frame_to_bytes(hello))
+    data = recv_frame(sock)
+    if data is None:
+        raise TransportError("listener closed during handshake")
+    reply = frame_from_bytes(data)
+    if not isinstance(reply, ConfigFrame):
+        raise TransportError(f"expected ConfigFrame, got {type(reply).__name__}")
+    return reply
+
+
+def recv_hello(sock: socket.socket, timeout: float) -> HelloFrame:
+    """Listener side of registration: read the dialer's hello.
+
+    Listeners read hellos serially on their accept thread, so one slow
+    dialer must not hold it: the whole hello must arrive within
+    ``timeout`` seconds — a deadline a byte-dripping dialer cannot
+    renew, unlike a per-``recv`` timeout — and a declared length above
+    :data:`MAX_HELLO_BYTES` is refused before any body is read.  The
+    socket keeps ``timeout`` for the rest of the handshake.
+
+    Raises:
+        TransportError: On a late, oversized, torn, or non-hello frame.
+    """
+    deadline = time.monotonic() + timeout
+    header = _recv_exactly(
+        sock, FRAME_HEADER.size, at_boundary=False, deadline=deadline
+    )
+    (length,) = FRAME_HEADER.unpack(header)
+    if length > MAX_HELLO_BYTES:
+        raise TransportError(f"declared hello length {length} exceeds limit")
+    hello = frame_from_bytes(
+        _recv_exactly(sock, length, at_boundary=False, deadline=deadline)
+    )
+    if not isinstance(hello, HelloFrame):
+        raise TransportError(f"expected HelloFrame, got {type(hello).__name__}")
+    sock.settimeout(timeout)
+    return hello
+
+
+def serve_registrations(
+    listener: socket.socket,
+    handshake: Callable[[socket.socket], None],
+    site: str,
+) -> None:
+    """Accept dialers and run ``handshake`` on each until the listener
+    is closed — the accept loop of the central's and a relay's
+    listener.
+
+    A broken dialer must not take the listener down: its connection is
+    closed and the error noted at ``<site>.handshake`` (torn socket or
+    protocol error) or ``<site>.unexpected`` (anything else — a bug
+    worth counting).
+    """
+    while True:
+        try:
+            conn, _addr = listener.accept()
+        except OSError:
+            return  # listener closed: shutdown
+        try:
+            handshake(conn)
+        except Exception as exc:  # broad by design: counted, never fatal
+            expected = isinstance(exc, (TransportError, OSError))
+            telemetry.note(
+                f"{site}.{'handshake' if expected else 'unexpected'}", exc
+            )
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+
 def connect_with_retry(
     host: str,
     port: int,
@@ -333,321 +428,3 @@ def connect_with_retry(
     raise TransportError(
         f"could not connect to {host}:{port} after {attempts} attempts: {last}"
     )
-
-
-class TcpTransport(Transport):
-    """Central-side transport over one accepted edge connection.
-
-    Implements the same surface the fan-out engine drives in-process,
-    with pipelined (non-blocking) sends:
-
-    * :meth:`send` serializes and writes the frame, then returns
-      ``status="queued"`` without waiting for the edge's reply — the
-      caller's in-flight window bounds how far ahead it may run.
-    * :meth:`flush` collects every outstanding reply (the protocol
-      guarantees one in-order reply per frame), so a pump cycle starts
-      from a drained link.
-    * :meth:`request` is the synchronous path used for client queries:
-      it first drains outstanding replication acks (stashing them for
-      the next :meth:`flush`), then performs one request/reply
-      round-trip.
-
-    Any socket-level failure closes the link: subsequent sends report
-    ``status="failed"`` (exactly like a partitioned in-process link)
-    and the deployment layer heals by re-attaching the peer when the
-    edge reconnects.
-
-    Args:
-        name: The edge's name (link label).
-        sock: The connected socket (ownership transfers here).
-        down_channel / up_channel: Byte accounting, as for every
-            :class:`~repro.edge.transport.Transport`.
-        timeout: Receive timeout; a peer silent for longer is treated
-            as wedged and the link is closed.
-        faults: Fault-injection state (healthy by default) — the same
-            :class:`~repro.edge.transport.FaultInjector` the in-process
-            link honors, applied at the TCP level: ``partitioned``
-            fails sends without touching the socket (a flap, not a
-            close — clearing it resumes the link), ``drop_next`` meters
-            then discards frames before the write, ``hold`` parks
-            serialized frames in the transport until :meth:`flush`
-            after the fault clears, and ``delay`` sleeps before each
-            write (latency shaping on a blocking link).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        sock: socket.socket,
-        down_channel: Channel | None = None,
-        up_channel: Channel | None = None,
-        timeout: float = 10.0,
-        faults: FaultInjector | None = None,
-    ) -> None:
-        super().__init__(name, down_channel, up_channel)
-        self._sock = sock
-        self._sock.settimeout(timeout)
-        self._lock = threading.RLock()
-        self.faults = faults or FaultInjector()
-        self._held: list[bytes] = []
-        self._pending = 0
-        self._stray: list[Frame] = []
-        self._decoder = FrameDecoder()
-        self._closed = False
-        #: Syscall tally (``send``/``recv``/``select``) — the threaded
-        #: baseline the event-loop bench compares its reactor against.
-        self.syscalls: dict[str, int] = {"send": 0, "recv": 0, "select": 0}
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        """False once a socket fault has closed this link."""
-        return not self._closed
-
-    @property
-    def queued_frames(self) -> int:
-        """Frames written but not yet matched with a reply."""
-        return self._pending
-
-    def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
-        with self._lock:
-            self._mark_closed()
-
-    def _mark_closed(self) -> None:
-        if not self._closed:
-            self._closed = True
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._pending = 0
-
-    # ------------------------------------------------------------------
-    # Transport surface
-    # ------------------------------------------------------------------
-
-    def send(self, frame: Frame) -> SendOutcome:
-        """Write one frame without waiting for the reply.
-
-        Returns ``status="queued"`` on success (ack pending — the
-        fan-out engine counts it against the in-flight window) or
-        ``status="failed"`` when the link is down.
-        """
-        with self._lock:
-            if self._closed:
-                return SendOutcome(status="failed")
-            if self.faults.partitioned:
-                # A flap, not a death: nothing leaves the sender and
-                # the socket stays open for when the link heals.
-                return SendOutcome(status="failed")
-            data = frame_to_bytes(frame)
-            if self.faults.drop_next > 0:
-                self.faults.drop_next -= 1
-                transfer = self._record_send(data, frame)
-                return SendOutcome(status="dropped", transfer=transfer)
-            if self.faults.hold:
-                transfer = self._record_send(data, frame)
-                self._held.append(data)
-                return SendOutcome(status="queued", transfer=transfer)
-            if self.faults.delay > 0:
-                time.sleep(self.faults.delay)
-            try:
-                send_frame(self._sock, data)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.send", exc, detail=self.name)
-                self._mark_closed()
-                return SendOutcome(status="failed")
-            self.syscalls["send"] += 1
-            transfer = self._record_send(data, frame)
-            self._pending += 1
-            return SendOutcome(status="queued", transfer=transfer)
-
-    def flush(self, wait: bool = False) -> list:
-        """Collect outstanding reply frames.
-
-        With ``wait=False`` (the default — what the fan-out engine's
-        per-pump drain uses) only replies *already buffered* are
-        collected — including the no-complete-frame-yet case, where
-        the partial bytes stay in the receive buffer for next time —
-        so a slow edge can never stall the write path: its
-        unacknowledged frames simply keep occupying the in-flight
-        window and the engine skips it, exactly like a frame-holding
-        in-process link.
-
-        With ``wait=True`` this blocks until the link *settles*:
-        either every sent frame has been answered one-for-one (the
-        pre-batching cadence) or a cumulative
-        :class:`~repro.edge.transport.CursorAckFrame` arrives — a
-        cumulative ack zeroes the pending count, so replies its
-        cursors do not yet cover (frames still queued behind the ack
-        point) surface on a *later* flush rather than being blocked
-        for here.  Settle points that must cover a coalescing peer's
-        whole pipeline therefore use the probe-then-:meth:`poll` drain
-        (the fan-out engine's), not this.  On EOF / reset / timeout
-        the link is closed and whatever was collected is returned —
-        in-flight frames are forgotten, leaving the peer's cursors
-        behind so a later pump (or a reconnect handshake) retries or
-        heals.
-        """
-        with self._lock:
-            replies = list(self._stray)
-            self._stray.clear()
-            if self.faults.blocks_delivery:
-                # Mirror the in-process link: a partitioned/held link
-                # neither writes nor blocks waiting for replies.
-                return replies
-            self._write_held()
-            while True:
-                if wait and not self._pending:
-                    break
-                reply = self._read_reply(wait=wait)
-                if reply is _NOT_READY or reply is None:
-                    break
-                replies.append(reply)
-            return replies
-
-    def _write_held(self) -> None:
-        """Write frames parked by a (now cleared) ``hold`` fault."""
-        while self._held and not self._closed:
-            data = self._held.pop(0)
-            try:
-                send_frame(self._sock, data)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.send", exc, detail=self.name)
-                self._mark_closed()
-                return
-            self.syscalls["send"] += 1
-            self._pending += 1
-
-    def poll(self) -> list:
-        """Block for at least one reply frame; return all available.
-
-        The batched-ack settle primitive (see
-        :meth:`Transport.poll <repro.edge.transport.Transport.poll>`):
-        the caller has just solicited a cursor ack and knows *a* reply
-        is coming, but not how many frames it will cover.  A receive
-        timeout or EOF closes the link and returns whatever arrived.
-        """
-        with self._lock:
-            replies = list(self._stray)
-            self._stray.clear()
-            if not replies:
-                reply = self._read_reply(wait=True)
-                if reply is not None and reply is not _NOT_READY:
-                    replies.append(reply)
-            while True:  # drain whatever else is already buffered
-                reply = self._read_reply(wait=False)
-                if reply is _NOT_READY or reply is None:
-                    break
-                replies.append(reply)
-            return replies
-
-    def _readable(self) -> bool:
-        """True if at least one reply byte is waiting in the buffer."""
-        if self._closed:
-            return False
-        self.syscalls["select"] += 1
-        try:
-            ready, _, _ = select.select([self._sock], [], [], 0)
-        except (OSError, ValueError):
-            return False
-        return bool(ready)
-
-    def request(self, frame: Frame) -> Frame:
-        """One synchronous request/reply round-trip (query path).
-
-        Replies arrive strictly in order, so the query's answer is the
-        first :class:`~repro.edge.transport.QueryResponseFrame` to
-        arrive after the send; replication replies read on the way
-        (acks a coalescing edge was holding, or pipelined per-frame
-        acks) are stashed for the next :meth:`flush`.  Matching by
-        *type* instead of by count matters under batched acks: a peer
-        with deferred acks outstanding answers fewer frames than it
-        received, and the old drain-``pending``-replies-first protocol
-        would block on acks that are never coming.
-
-        Raises:
-            TransportError: If the link is down or drops mid-exchange.
-        """
-        with self._lock:
-            outcome = self.send(frame)
-            if outcome.status == "dropped":
-                raise TransportError(
-                    f"request to {self.name!r} lost in flight"
-                )
-            if outcome.status != "queued":
-                raise TransportError(f"link to {self.name!r} is down")
-            if self.faults.hold:
-                # The frame stays parked in the link (metered, will be
-                # written on flush once the fault clears), but a
-                # synchronous caller cannot wait for it.
-                raise TransportError(
-                    f"link to {self.name!r} timed out (peer holding frames)"
-                )
-            while True:
-                reply = self._read_reply()
-                if reply is None:
-                    raise TransportError(
-                        f"link to {self.name!r} lost awaiting reply"
-                    )
-                if isinstance(reply, QueryResponseFrame):
-                    return reply
-                self._stray.append(reply)
-
-    def _read_reply(self, wait: bool = True) -> Optional[Frame]:
-        """One reply frame through the shared :class:`FrameDecoder`.
-
-        Returns ``_NOT_READY`` when ``wait=False`` and no *complete*
-        frame has arrived (partial bytes stay buffered — never handed
-        to a blocking read), or ``None`` (and close) on any fault.
-        """
-        while True:
-            try:
-                data = self._decoder.next_frame()
-            except TransportError as exc:
-                # Misaligned stream: never routine, always traced.
-                telemetry.note("tcp.framing", exc, detail=self.name)
-                self._mark_closed()
-                return None
-            if data is not None:
-                break
-            if not wait and not self._readable():
-                return _NOT_READY
-            view = self._decoder.writable(_RECV_CHUNK)
-            self.syscalls["recv"] += 1
-            try:
-                n = self._sock.recv_into(view)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.recv", exc, detail=self.name)
-                self._mark_closed()
-                return None
-            if n == 0:  # clean EOF
-                self._mark_closed()
-                return None
-            self._decoder.wrote(n)
-        try:
-            reply = frame_from_bytes(data)
-        except TransportError as exc:
-            telemetry.note("tcp.framing", exc, detail=self.name)
-            self._mark_closed()
-            return None
-        if isinstance(reply, CursorAckFrame):
-            # A cumulative ack answers *everything* the peer received
-            # before emitting it (FIFO link, cursors cover the lot) —
-            # one-for-one pending accounting would otherwise drift
-            # upward forever on a coalescing link, and a later
-            # ``flush(wait=True)`` would block on replies that are
-            # never coming until the timeout tore the link down.
-            self._pending = 0
-        else:
-            self._pending = max(0, self._pending - 1)
-        self._record_reply(data, reply)
-        return reply

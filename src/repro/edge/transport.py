@@ -23,9 +23,8 @@ control and healing paths can be exercised deterministically:
   window this models per-edge backpressure.
 
 A real-socket transport only needs to reimplement ``send``/``flush``
-over its medium; the frame codec is already byte-exact.  Two exist:
-the thread-per-edge :class:`~repro.edge.socket_transport.TcpTransport`
-and the event-loop :class:`~repro.edge.event_loop.ReactorTransport`,
+over its medium; the frame codec is already byte-exact.  The one that
+exists is the event-loop :class:`~repro.edge.event_loop.ReactorTransport`,
 which honours the same three fault states by gating its connection's
 outbound queue (see :attr:`FaultInjector.blocks_delivery`).
 
@@ -757,10 +756,9 @@ class FaultInjector:
             link models it as a one-flush delivery delay (the frame is
             queued like a held frame but drains on the *next* flush
             even while the fault persists — a slow link, not a wedged
-            one); :class:`~repro.edge.socket_transport.TcpTransport`
-            sleeps before each write; the reactor parks the
-            connection's queue until the deadline passes without ever
-            blocking the loop.
+            one); :class:`~repro.edge.event_loop.ReactorTransport`
+            parks the connection's queue until the deadline passes
+            without ever blocking the loop.
     """
 
     partitioned: bool = False
@@ -1008,8 +1006,8 @@ class InProcessTransport(Transport):
     def request(self, frame: Frame) -> Frame:
         """One synchronous round-trip, with fault injection applied.
 
-        The query-path mirror of :meth:`TcpTransport.request
-        <repro.edge.socket_transport.TcpTransport.request>`: a
+        The query-path mirror of :meth:`ReactorTransport.request
+        <repro.edge.event_loop.ReactorTransport.request>`: a
         partitioned link raises, a dropped request raises (the reply
         will never come), and a held request raises too — the frame
         stays queued in the slow link (it was metered as sent and the

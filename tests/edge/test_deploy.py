@@ -159,15 +159,8 @@ class TestMultiProcessDeployment:
 
 
 class TestKillMidWindow:
-    @pytest.mark.parametrize(
-        "io_mode",
-        [
-            "threaded",
-            pytest.param("reactor", marks=pytest.mark.event_loop),
-        ],
-    )
     def test_peer_killed_mid_window_nacks_heals_and_drops_no_tail(
-        self, tmp_path, io_mode
+        self, tmp_path
     ):
         """Satellite regression (DESIGN.md section 10.4): pipelined
         sends under *deferred* acks, then SIGKILL the edge with the
@@ -176,16 +169,13 @@ class TestKillMidWindow:
         (the old one-reply-per-frame drain would block on acks that
         are never coming) and never a silently-dropped tail: after the
         restart the snapshot heal must reach cursor parity with every
-        committed row present.  Runs against both I/O paths: under the
-        reactor the kill is discovered by a failed vectored flush (or
-        the RST read event) instead of a failed ``sendall``, and the
-        readiness-driven settle must forget the tail just as fast."""
+        committed row present.  The kill is discovered by a failed
+        vectored flush (or the RST read event), and the
+        readiness-driven settle must forget the tail at once."""
         import time
 
         central = make_central(ack_every=64)  # acks far beyond the window
-        deploy = Deployment(
-            central, log_dir=str(tmp_path / "edge-logs"), io_mode=io_mode
-        )
+        deploy = Deployment(central, log_dir=str(tmp_path / "edge-logs"))
         try:
             client = central.make_client()
             deploy.launch_edge("edge-0")

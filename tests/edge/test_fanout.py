@@ -169,9 +169,11 @@ class TestNackEscalation:
 
 
 class TestConcurrentDelivery:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_all_edges_converge(self, workers):
-        server = make_central(fanout_workers=workers)
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_all_edges_converge(self, window):
+        """Every edge converges under the tightest in-flight window
+        (one frame per peer per pump) and the default one."""
+        server = make_central(fanout_window=window)
         edges = [server.spawn_edge_server(f"e{i}") for i in range(5)]
         client = server.make_client()
         for key in range(9001, 9021):

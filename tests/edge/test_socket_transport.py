@@ -2,9 +2,9 @@
 
 Everything here runs in one process (socketpairs and threads — no
 subprocesses), so it belongs to the tier-1 suite: the framing layer's
-partial-read / short-write / torn-frame behaviour, the TcpTransport's
-pipelined send/flush/request surface, and a full handshake cycle with
-the edge served from a thread.  The multi-*process* deployment tests
+partial-read / short-write / torn-frame behaviour, the ReactorTransport's
+pipelined send/flush/request surface, the listeners' bounded hello
+read, and a full handshake cycle with the edge served from a thread.  The multi-*process* deployment tests
 live in ``test_deploy.py`` behind the ``socket`` marker.
 """
 
@@ -16,18 +16,22 @@ import pytest
 
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
+from repro.edge.event_loop import EdgeEventLoop, EdgeHost, ReactorTransport
+from repro.edge.relay import RelayHost
 from repro.edge.serve import run_edge
 from repro.edge.socket_transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
-    TcpTransport,
+    MAX_HELLO_BYTES,
     connect_with_retry,
     recv_frame,
+    recv_hello,
     send_frame,
 )
 from repro.edge.transport import (
     AckFrame,
     DeltaFrame,
+    QueryRequestFrame,
     QueryResponseFrame,
     frame_from_bytes,
     frame_to_bytes,
@@ -157,7 +161,7 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# TcpTransport: pipelined sends, flush, request, failure mapping
+# ReactorTransport: pipelined sends, flush, request, failure mapping
 # ---------------------------------------------------------------------------
 
 
@@ -173,10 +177,25 @@ def _echo_acks(sock, count, *, lsn_of=lambda i: i + 1):
         send_frame(sock, frame_to_bytes(ack))
 
 
-class TestTcpTransport:
-    def test_pipelined_sends_then_flush(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+@pytest.fixture
+def link(pair):
+    """A :class:`ReactorTransport` over one end of a socketpair, its
+    loop driven by the test thread, and the blocking peer end."""
+    left, right = pair
+    loop = EdgeEventLoop()
+    transport = ReactorTransport("stub", loop, left, timeout=5)
+    yield transport, loop, right
+    loop.close()
+
+
+class TestReactorTransport:
+    """The central link's surface over a real socket.  ``send`` only
+    enqueues, so bytes leave on the next loop spin (``run_once``,
+    ``flush(wait=True)``, ``poll`` or ``request``), and a dead peer
+    shows up at that spin rather than inside ``send``."""
+
+    def test_pipelined_sends_then_flush(self, link):
+        transport, _loop, right = link
         peer = threading.Thread(target=_echo_acks, args=(right, 3))
         peer.start()
         try:
@@ -193,25 +212,23 @@ class TestTcpTransport:
         assert transport.down_channel.bytes_by_kind().keys() == {"delta"}
         assert transport.up_channel.bytes_by_kind().keys() == {"ack"}
 
-    def test_send_after_peer_close_maps_to_failed(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_send_after_peer_close_maps_to_failed(self, link):
+        transport, loop, right = link
         right.close()
-        # The first send may land in the socket buffer before the reset
-        # is visible; the link must report failed within a few sends and
-        # never raise.
+        # The first sends only enqueue; the loop spin that tries to
+        # write them (or reads the EOF) discovers the dead peer.  The
+        # link must report failed within a few sends and never raise.
         for _ in range(20):
             outcome = transport.send(DeltaFrame("t", b"x" * 4096))
             if outcome.status == "failed":
                 break
-            time.sleep(0.01)
+            loop.run_once(0.01)
         else:
             pytest.fail("send never observed the dead peer")
         assert not transport.connected
 
-    def test_flush_on_dead_link_forgets_inflight(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_flush_on_dead_link_forgets_inflight(self, link):
+        transport, _loop, right = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
         right.close()  # peer dies with the ack outstanding
         assert transport.flush(wait=True) == []
@@ -219,13 +236,13 @@ class TestTcpTransport:
         assert not transport.connected
         assert transport.send(DeltaFrame("t", b"d2")).status == "failed"
 
-    def test_nonblocking_flush_leaves_pending_acks(self, pair):
+    def test_nonblocking_flush_leaves_pending_acks(self, link):
         """The write-path drain (``wait=False``) must return instantly
         when the peer has not answered yet — a slow edge's frames keep
         occupying the window instead of stalling the caller."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        transport, loop, right = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
+        loop.run_once(0.0)  # the frame leaves; no reply yet
         start = time.perf_counter()
         assert transport.flush() == []  # peer silent: nothing to collect
         assert time.perf_counter() - start < 0.5
@@ -237,13 +254,13 @@ class TestTcpTransport:
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
-    def test_partial_reply_does_not_block_or_tear_the_link(self, pair):
+    def test_partial_reply_does_not_block_or_tear_the_link(self, link):
         """A reply that has only half-arrived must neither block the
         non-blocking drain nor be mistaken for a fault — the fragment
-        waits in the receive buffer until the rest shows up."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        waits in the decoder until the rest shows up."""
+        transport, loop, right = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
+        loop.run_once(0.0)
         data = recv_frame(right)
         frame = frame_from_bytes(data)
         ack = frame_to_bytes(
@@ -252,6 +269,7 @@ class TestTcpTransport:
         wire = FRAME_HEADER.pack(len(ack)) + ack
         right.sendall(wire[:7])  # header + a sliver of the body
         time.sleep(0.05)
+        loop.run_once(0.0)  # the fragment lands in the decoder
         start = time.perf_counter()
         assert transport.flush() == []  # non-blocking, fragment buffered
         assert time.perf_counter() - start < 0.5
@@ -262,7 +280,7 @@ class TestTcpTransport:
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
-    def test_cumulative_ack_settles_all_pending(self, pair):
+    def test_cumulative_ack_settles_all_pending(self, link):
         """A coalescing peer answers many sends with one cumulative
         ack.  Per-frame pending accounting would drift upward forever
         and make ``flush(wait=True)`` block (then tear down the healthy
@@ -270,8 +288,7 @@ class TestTcpTransport:
         cumulative ack must zero the pending count."""
         from repro.edge.transport import CursorAckFrame
 
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        transport, _loop, right = link
 
         def coalescing_peer():
             for _ in range(3):
@@ -294,11 +311,10 @@ class TestTcpTransport:
         assert transport.queued_frames == 0
         assert transport.connected
 
-    def test_request_round_trip_and_stray_replies(self, pair):
+    def test_request_round_trip_and_stray_replies(self, link):
         """A query issued while replication acks are outstanding gets
         *its* reply; the drained acks surface on the next flush."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        transport, _loop, right = link
 
         def peer():
             _echo_acks(right, 2)
@@ -315,8 +331,6 @@ class TestTcpTransport:
         try:
             transport.send(DeltaFrame("t", b"d1"))
             transport.send(DeltaFrame("t", b"d2"))
-            from repro.edge.transport import QueryRequestFrame
-
             reply = transport.request(
                 QueryRequestFrame(kind="range", table="t", low=1, high=2)
             )
@@ -327,15 +341,148 @@ class TestTcpTransport:
         strays = transport.flush()
         assert [r.lsn for r in strays] == [1, 2]
 
-    def test_request_on_dead_link_raises(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_request_on_dead_link_raises(self, link):
+        transport, _loop, right = link
         right.close()
         transport.close()
-        from repro.edge.transport import QueryRequestFrame
-
         with pytest.raises(TransportError):
             transport.request(QueryRequestFrame(kind="range", table="t"))
+
+
+# ---------------------------------------------------------------------------
+# Registration hellos: bounded in size and in total time
+# ---------------------------------------------------------------------------
+
+
+class _DrippingDialers:
+    """Dial ``address`` once per declared hello length, send that
+    length header, then trickle one byte per dialer every ``every``
+    seconds — a dialer that never finishes its hello but never goes
+    quiet long enough for a per-``recv`` timeout to fire."""
+
+    def __init__(self, address, declared, every=0.5):
+        self._socks = []
+        for length in declared:
+            sock = socket.create_connection(address, timeout=5)
+            sock.sendall(FRAME_HEADER.pack(length))
+            self._socks.append(sock)
+        self._stop = threading.Event()
+        self._every = every
+        self._thread = threading.Thread(target=self._drip, daemon=True)
+
+    def _drip(self):
+        while not self._stop.wait(self._every):
+            for sock in self._socks:
+                try:
+                    sock.send(b"\x00")
+                except OSError:
+                    pass  # refused by the listener: that is the point
+
+    def __enter__(self):
+        self._thread.start()
+        time.sleep(0.1)  # the listener is now reading the first dialer
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        for sock in self._socks:
+            sock.close()
+        assert not self._thread.is_alive()
+
+
+#: One dialer declares a hello far above the hello cap, one a small
+#: hello it never finishes.  Under a per-``recv`` timeout alone, either
+#: holds a listener for as long as it keeps dripping.
+_SLOW_HELLOS = (1 << 20, 1 << 10)
+
+
+def _register_behind_slow_dialers(address, host):
+    """Launch an honest edge on ``host`` behind the slow dialers;
+    returns the seconds its registration handshake took."""
+    with _DrippingDialers(address, _SLOW_HELLOS):
+        start = time.perf_counter()
+        host.launch("honest", io_timeout=5)
+        return time.perf_counter() - start
+
+
+class TestRecvHello:
+    def test_oversized_hello_refused_before_body(self, pair):
+        left, right = pair
+        left.sendall(FRAME_HEADER.pack(MAX_HELLO_BYTES + 1))
+        start = time.perf_counter()
+        with pytest.raises(TransportError, match="exceeds limit"):
+            recv_hello(right, timeout=5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_deadline_bounds_the_whole_hello(self, pair):
+        """Bytes arriving faster than the timeout must not renew it."""
+        left, right = pair
+        left.sendall(FRAME_HEADER.pack(64))
+        stop = threading.Event()
+
+        def drip():
+            while not stop.wait(0.1):
+                try:
+                    left.send(b"\x00")
+                except OSError:
+                    return
+
+        thread = threading.Thread(target=drip)
+        thread.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TransportError, match="timed out"):
+                recv_hello(right, timeout=0.5)
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert time.perf_counter() - start < 1.5
+        assert not thread.is_alive()
+
+    def test_non_hello_frame_rejected(self, pair):
+        left, right = pair
+        send_frame(left, frame_to_bytes(DeltaFrame("t", b"d")))
+        with pytest.raises(TransportError, match="expected HelloFrame"):
+            recv_hello(right, timeout=5)
+
+
+class TestSlowDialerCannotBlockRegistration:
+    def test_central_listener(self):
+        central = make_central()
+        client = central.make_client()
+        with Deployment(central, io_timeout=1.0) as deploy:
+            with EdgeHost(*deploy.address) as host:
+                elapsed = _register_behind_slow_dialers(deploy.address, host)
+                host.start()
+                deploy.wait_for_edge("honest", timeout=5)
+                resp = deploy.range_query("honest", "t", low=1, high=20)
+                assert client.verify(resp).ok
+        assert elapsed < 4.0, f"registration waited {elapsed:.1f}s"
+
+    def test_relay_listener(self):
+        central = make_central()
+        client = central.make_client()
+        with Deployment(central, io_timeout=5) as deploy:
+            with RelayHost(
+                "relay-0", upstream=deploy.address, io_timeout=1.0
+            ) as relay_host:
+                address = relay_host.wait_ready()
+                deploy.wait_for_edge("relay-0", timeout=10)
+                with EdgeHost(*address) as host:
+                    elapsed = _register_behind_slow_dialers(address, host)
+                    host.start()
+                    # The relay attaches the edge just after sending its
+                    # config, so settle until the edge holds the replica.
+                    deadline = time.monotonic() + 10
+                    while "t" not in host.edges["honest"].replica_lsns:
+                        assert time.monotonic() < deadline, "edge never synced"
+                        deploy.sync()
+                        time.sleep(0.02)
+                    resp = deploy.range_query("relay-0", "t", low=1, high=20)
+                    assert resp.edge_name == "honest"
+                    assert client.verify(resp).ok
+        assert elapsed < 4.0, f"registration waited {elapsed:.1f}s"
 
 
 # ---------------------------------------------------------------------------
