@@ -38,7 +38,7 @@ import os
 from repro.bench.series import emit, results_dir
 from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer
+from repro.edge.relay import RelayServer, settle_tree
 from repro.edge.transport import (
     DeltaFrame,
     InProcessTransport,
@@ -132,35 +132,6 @@ def _attach_edge(relay, name, taps=None):
     return edge, down
 
 
-def _tree_sync(central, relays, rounds=20) -> bool:
-    """Drive central → relays → edges to quiescence, relaying each
-    relay's spontaneous upstream acks by hand (the serve loop's job)."""
-    for _ in range(rounds):
-        central.propagate()
-        central.fanout.drain(wait=True)
-        for relay in relays:
-            relay.fanout.pump()
-            relay.fanout.drain(wait=True)
-            frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
-            if frames:
-                central.fanout._process_replies(
-                    central.fanout.peer(relay.name), frames
-                )
-        settled = all(
-            central.fanout.staleness(relay.name, t) == 0
-            for relay in relays
-            for t in central.vbtrees
-        ) and all(
-            relay.fanout.staleness(peer_name, t) == 0
-            for relay in relays
-            for peer_name in relay.fanout.peers
-            for t in central.vbtrees
-        )
-        if settled:
-            return True
-    return False
-
-
 def _workload(central) -> None:
     for i in range(INSERTS):
         key = 100_000 + i
@@ -223,12 +194,12 @@ def _run_relayed(relays: int, edges: int) -> dict:
         ]
         tiers.append((relay, fleet))
         uplinks.append(up)
-    _tree_sync(central, [r for r, _ in tiers], rounds=4)  # bootstrap
+    settle_tree(central, [r for r, _ in tiers], rounds=4)  # bootstrap
     for up in uplinks:
         up.down_channel.reset()
 
     _workload(central)
-    assert _tree_sync(
+    assert settle_tree(
         central, [r for r, _ in tiers]
     ), "relayed topology failed to settle"
 
@@ -281,9 +252,9 @@ def _restart_heal_scenario() -> dict:
     central = _make_central()
     relay, up = _attach_relay(central, "relay-0")
     fleet = [_attach_edge(relay, f"edge-{i}") for i in range(2)]
-    assert _tree_sync(central, [relay])
+    assert settle_tree(central, [relay])
     _workload(central)
-    assert _tree_sync(central, [relay])
+    assert settle_tree(central, [relay])
 
     # SIGKILL: the relay object (store included) is gone.  The restart
     # registers empty over a fresh link (re-attaching the name replaces
@@ -297,7 +268,7 @@ def _restart_heal_scenario() -> dict:
         reborn.attach_edge(edge.name, down, cursors=edge.replication_cursors())
     for i in range(INSERTS, INSERTS + 10):
         central.insert(TABLE, (100_000 + i, f"v{i:>08}", f"w{i:>08}"))
-    assert _tree_sync(central, [reborn]), "subtree failed to heal"
+    assert settle_tree(central, [reborn]), "subtree failed to heal"
 
     client = central.make_client()
     unverified = 0

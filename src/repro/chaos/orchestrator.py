@@ -107,7 +107,7 @@ class InProcessFleet:
         under ``name`` (an in-process restart swaps the object)."""
         link = InProcessTransport(name, faults=injector)
         link.connect(lambda data, _n=name: self.edges[_n].handle_frame(data))
-        return TransportQueryChannel(name, link, simulated_latency=True)
+        return TransportQueryChannel(name, link)
 
     def edge_names(self) -> list[str]:
         return sorted(self.edges)

@@ -26,12 +26,11 @@ from repro.chaos.orchestrator import (
 from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.core.wire import result_from_bytes
 from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer
+from repro.edge.relay import RelayServer, settle_tree
 from repro.edge.transport import (
     InProcessTransport,
     config_from_frame,
     config_to_frame,
-    frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
 )
@@ -300,28 +299,10 @@ class _RelayHarness:
             AssertionError: When the tree cannot settle — a wedged
                 relay subtree is a failed run.
         """
-        relay_peer = self.central.fanout.peer("relay-0")
-        for used in range(1, rounds + 1):
-            self.central.propagate()
-            self.central.fanout.drain(wait=True)
-            self.relay.fanout.pump()
-            self.relay.fanout.drain(wait=True)
-            frames = [
-                frame_from_bytes(b) for b in self.relay.pending_upstream()
-            ]
-            if frames:
-                self.central.fanout._process_replies(relay_peer, frames)
-            settled = all(
-                self.central.fanout.staleness("relay-0", t) == 0
-                for t in self.central.vbtrees
-            ) and all(
-                self.relay.fanout.staleness(name, t) == 0
-                for name in self.edges
-                for t in self.central.vbtrees
-            )
-            if settled:
-                return used
-        raise AssertionError("relay subtree failed to settle")
+        used = settle_tree(self.central, [self.relay], rounds=rounds)
+        if used is None:
+            raise AssertionError("relay subtree failed to settle")
+        return used
 
     def query(self, low: int, high: int):
         """One forwarded query; returns ``(result, verdict)``."""

@@ -159,7 +159,21 @@ def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
 
 
 def result_from_bytes(data: bytes) -> AuthenticatedResult:
-    """Parse the serialization produced by :func:`result_to_bytes`."""
+    """Parse the serialization produced by :func:`result_to_bytes`.
+
+    Raises:
+        VOFormatError: On malformed bytes — including a corrupted
+            length or count that runs the decoder past the end of the
+            buffer (an edge's answer is untrusted input, so an overrun
+            is a typed rejection, never a raw ``IndexError``).
+    """
+    try:
+        return _decode_result(data)
+    except IndexError as exc:
+        raise VOFormatError(f"result overruns its buffer: {exc}") from exc
+
+
+def _decode_result(data: bytes) -> AuthenticatedResult:
     sig_len, offset = decode_uint(data, 0)
     fmt = _FORMAT_FROM_TAG.get(data[offset])
     policy = _POLICY_FROM_TAG.get(data[offset + 1])

@@ -106,6 +106,68 @@ class EdgeProcess:
         """True while the subprocess is running."""
         return self.process is not None and self.process.poll() is None
 
+    def launch(self, args: Sequence[str], log_dir: str | None) -> "EdgeProcess":
+        """(Re)start ``python -m repro.edge.serve *args`` for this name.
+
+        The subprocess inherits this interpreter and gets the package's
+        source root prepended to ``PYTHONPATH``; its output is appended
+        to ``<log_dir>/<name>.log`` (silenced when ``log_dir`` is
+        ``None``).  A relaunch closes the superseded log handle first,
+        or every restart would leak one file descriptor.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _src_root() + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        self.close_log()
+        stdout: Any = subprocess.DEVNULL
+        if log_dir is not None:
+            os.makedirs(log_dir, exist_ok=True)
+            stdout = open(  # not a context manager: closed on relaunch/shutdown
+                os.path.join(log_dir, f"{self.name}.log"), "ab"
+            )
+            self.log = stdout
+        self.registered.clear()
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.edge.serve", *args],
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.STDOUT if stdout is not subprocess.DEVNULL
+            else subprocess.DEVNULL,
+        )
+        return self
+
+    def kill(self) -> None:
+        """SIGKILL the running process (if any) and reap it."""
+        if self.alive:
+            self.process.kill()
+            self.process.wait(timeout=10)
+
+    def close_log(self) -> None:
+        """Close the current log handle (idempotent)."""
+        if self.log is not None:
+            try:
+                self.log.close()
+            except OSError:
+                pass
+            self.log = None
+
+
+def _stop_all(handles: Sequence[EdgeProcess], timeout: float) -> None:
+    """Terminate every running process, then reap each one (SIGKILL
+    past ``timeout``) and close its log."""
+    for handle in handles:
+        if handle.alive:
+            handle.process.terminate()
+    for handle in handles:
+        if handle.process is not None:
+            try:
+                handle.process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                handle.process.kill()
+                handle.process.wait(timeout=timeout)
+        handle.close_log()
+
 
 class Deployment:
     """Run a central listener and manage edge server processes.
@@ -215,47 +277,16 @@ class Deployment:
     def launch_edge(
         self, name: str, *, extra_args: Sequence[str] = ()
     ) -> EdgeProcess:
-        """Start ``python -m repro.edge.serve`` for ``name``.
-
-        The subprocess inherits this interpreter and gets the package's
-        source root prepended to ``PYTHONPATH``.  Call
-        :meth:`wait_for_edge` before relying on its replicas.
+        """Start ``python -m repro.edge.serve`` for ``name`` (see
+        :meth:`EdgeProcess.launch`).  Call :meth:`wait_for_edge` before
+        relying on its replicas.
         """
         host, port = self.address
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _src_root() + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         handle = self.edges.setdefault(name, EdgeProcess(name))
-        if handle.log is not None:
-            # Relaunch under the same name: the dead process's log
-            # handle is superseded — close it now or every restart
-            # leaks one file descriptor.
-            try:
-                handle.log.close()
-            except OSError:
-                pass
-            handle.log = None
-        stdout: Any = subprocess.DEVNULL
-        if self.log_dir is not None:
-            os.makedirs(self.log_dir, exist_ok=True)
-            stdout = open(  # not a context manager: closed on relaunch/shutdown
-                os.path.join(self.log_dir, f"{name}.log"), "ab"
-            )
-            handle.log = stdout
-        handle.registered.clear()
-        handle.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.edge.serve",
-                "--name", name, "--host", host, "--port", str(port),
-                *extra_args,
-            ],
-            env=env,
-            stdout=stdout,
-            stderr=subprocess.STDOUT if stdout is not subprocess.DEVNULL
-            else subprocess.DEVNULL,
+        return handle.launch(
+            ["--name", name, "--host", host, "--port", str(port), *extra_args],
+            self.log_dir,
         )
-        return handle
 
     def wait_for_edge(
         self, name: str, timeout: float = 30.0, sync: bool = True
@@ -287,9 +318,7 @@ class Deployment:
         reset, exactly as with a remote machine failure.
         """
         handle = self.edges[name]
-        if handle.process is not None and handle.process.poll() is None:
-            handle.process.kill()
-            handle.process.wait(timeout=10)
+        handle.kill()
         handle.registered.clear()
 
     def restart_edge(self, name: str) -> EdgeProcess:
@@ -347,11 +376,12 @@ class Deployment:
         Each round pumps the fan-out engine and then drains the
         pipelined acks; multiple rounds let the nack→retry→snapshot
         escalation run to quiescence (a heal needs one round to learn
-        of the problem and one to ship the fix).  The drain is
-        readiness-driven: every edge's queued frames and
-        its cursor probe leave in one vectored write, and one shared
-        ``select`` loop settles the whole fleet as acks land — no
-        per-peer probe→poll rounds, no busy polling.
+        of the problem and one to ship the fix).  The settle
+        (:meth:`FanoutEngine.drain
+        <repro.edge.fanout.FanoutEngine.drain>`) is readiness-driven:
+        every edge's queued frames and its cursor probe leave in one
+        vectored write, and one shared reactor wait settles the whole
+        fleet as acks land — no per-peer blocking, no busy polling.
 
         Returns:
             Total frames shipped.
@@ -518,23 +548,7 @@ class Deployment:
             self.reactor.close()
         if self.central.fanout.reactor is self.reactor:
             self.central.fanout.reactor = None
-        for handle in handles:
-            proc = handle.process
-            if proc is None or proc.poll() is not None:
-                continue
-            proc.terminate()
-            try:
-                proc.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=timeout)
-        for handle in handles:
-            if handle.log is not None:
-                try:
-                    handle.log.close()
-                except OSError:
-                    pass
-                handle.log = None
+        _stop_all(handles, timeout)
         self._accept_thread.join(timeout=timeout)
 
     def __enter__(self) -> "Deployment":
@@ -617,35 +631,10 @@ class RelayDeployment:
     def _spawn(
         self, handles: dict[str, EdgeProcess], name: str, args: list[str]
     ) -> EdgeProcess:
-        """Popen a serve subprocess with the same env/log discipline as
-        :meth:`Deployment.launch_edge`."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _src_root() + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        """(Re)launch the serve process ``handles[name]`` tracks."""
+        return handles.setdefault(name, EdgeProcess(name)).launch(
+            args, self.log_dir
         )
-        handle = handles.setdefault(name, EdgeProcess(name))
-        if handle.log is not None:
-            try:
-                handle.log.close()
-            except OSError:
-                pass
-            handle.log = None
-        stdout: Any = subprocess.DEVNULL
-        if self.log_dir is not None:
-            os.makedirs(self.log_dir, exist_ok=True)
-            stdout = open(  # not a context manager: closed on relaunch/shutdown
-                os.path.join(self.log_dir, f"{name}.log"), "ab"
-            )
-            handle.log = stdout
-        handle.registered.clear()
-        handle.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.edge.serve", *args],
-            env=env,
-            stdout=stdout,
-            stderr=subprocess.STDOUT if stdout is not subprocess.DEVNULL
-            else subprocess.DEVNULL,
-        )
-        return handle
 
     # ------------------------------------------------------------------
     # Topology management
@@ -759,10 +748,7 @@ class RelayDeployment:
         central discovers the reset on its next send and the subtree's
         edges re-dial the (pinned) listen address until a replacement
         binds it."""
-        handle = self.relays[name]
-        if handle.process is not None and handle.process.poll() is None:
-            handle.process.kill()
-            handle.process.wait(timeout=10)
+        self.relays[name].kill()
         central_handle = self.deploy.edges.get(name)
         if central_handle is not None:
             central_handle.registered.clear()
@@ -803,10 +789,7 @@ class RelayDeployment:
 
     def kill_edge(self, name: str) -> None:
         """SIGKILL a downstream edge process."""
-        handle = self.edge_procs[name]
-        if handle.process is not None and handle.process.poll() is None:
-            handle.process.kill()
-            handle.process.wait(timeout=10)
+        self.edge_procs[name].kill()
 
     def restart_edge(self, name: str) -> EdgeProcess:
         """Relaunch a (killed) edge under the same name and relay."""
@@ -851,25 +834,7 @@ class RelayDeployment:
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop edges, then relays, then the central listener."""
         for handles in (self.edge_procs, self.relays):
-            for handle in handles.values():
-                proc = handle.process
-                if proc is not None and proc.poll() is None:
-                    proc.terminate()
-            for handle in handles.values():
-                proc = handle.process
-                if proc is None:
-                    continue
-                try:
-                    proc.wait(timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=timeout)
-                if handle.log is not None:
-                    try:
-                        handle.log.close()
-                    except OSError:
-                        pass
-                    handle.log = None
+            _stop_all(list(handles.values()), timeout)
         self.deploy.shutdown(timeout=timeout)
 
     def __enter__(self) -> "RelayDeployment":

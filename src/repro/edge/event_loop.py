@@ -402,8 +402,12 @@ class ReactorTransport(Transport):
 
     The pipelined TCP :class:`~repro.edge.transport.Transport`:
     ``send`` never performs a syscall — frames queue on the connection
-    and ship in vectored batches when the loop spins (drain, settle,
-    or query time).  Fault semantics and byte metering mirror
+    and ship in vectored batches when the loop spins (a settle or a
+    query).  :meth:`flush` only collects what earlier spins landed: the
+    waiting for acks is done by the fan-out engine's one settle loop
+    (:meth:`FanoutEngine.drain <repro.edge.fanout.FanoutEngine.drain>`),
+    and :meth:`request` waits only for its own query answer.  Fault
+    semantics and byte metering mirror
     :class:`~repro.edge.transport.InProcessTransport` outcome-for-outcome
     so parity benches compare equals:
 
@@ -423,9 +427,8 @@ class ReactorTransport(Transport):
         down_channel / up_channel: Byte accounting, as for every
             :class:`~repro.edge.transport.Transport`.
         faults: Initial fault state (healthy by default).
-        timeout: Settle deadline for :meth:`flush(wait=True) <flush>`,
-            :meth:`poll`, and :meth:`request` — a peer silent for
-            longer counts as wedged (the reply just isn't coming).
+        timeout: Reply deadline for :meth:`request` — a peer silent
+            for longer counts as wedged (the reply just isn't coming).
     """
 
     def __init__(
@@ -505,74 +508,36 @@ class ReactorTransport(Transport):
             self._pending += 1
             return SendOutcome(status="queued", transfer=transfer)
 
-    def _collect(self) -> list:
-        """Decode and meter everything the loop has landed in the inbox."""
-        replies = list(self._stray)
-        self._stray.clear()
-        inbox, self._conn.inbox = self._conn.inbox, []
-        for data in inbox:
-            try:
-                reply = frame_from_bytes(data)
-            except TransportError as exc:
-                telemetry.note("reactor_transport.framing", exc, detail=self.name)
-                self._loop.close_conn(self._conn)
-                break
-            if isinstance(reply, CursorAckFrame):
-                # Cumulative: answers everything the peer received
-                # before emitting it (FIFO link, cursors cover all).
-                self._pending = 0
-            else:
-                self._pending = max(0, self._pending - 1)
-            self._record_reply(data, reply)
-            replies.append(reply)
-        return replies
+    def flush(self) -> list:
+        """Collect the reply frames earlier loop spins landed.
 
-    def flush(self, wait: bool = False) -> list:
-        """Collect outstanding reply frames.
-
-        ``wait=False`` (the per-pump drain) performs **no I/O at
-        all** — it only decodes what previous loop spins already
-        delivered, so draining five hundred peers costs five hundred
-        list-swaps, not five hundred selects.  ``wait=True`` spins the
-        loop until every pending frame is answered one-for-one or a
-        cumulative ack zeroes the count, bounded by ``timeout``.
+        Performs **no I/O at all** — it only decodes and meters what
+        the inbox holds (plus replies a :meth:`request` read on the
+        way), so collecting five hundred peers costs five hundred
+        list-swaps, not five hundred selects.  Spinning the loop until
+        acks land is the fan-out engine's settle loop.
         """
         with self._lock:
-            replies = self._collect()
-            if not wait:
-                return replies
-            deadline = time.monotonic() + self.timeout
-            while (
-                self._pending
-                and not self._conn.closed
-                and not self.faults.blocks_delivery
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+            replies = list(self._stray)
+            self._stray.clear()
+            inbox, self._conn.inbox = self._conn.inbox, []
+            for data in inbox:
+                try:
+                    reply = frame_from_bytes(data)
+                except TransportError as exc:
+                    telemetry.note(
+                        "reactor_transport.framing", exc, detail=self.name
+                    )
                     self._loop.close_conn(self._conn)
                     break
-                self._loop.run_once(min(remaining, 0.2))
-                replies.extend(self._collect())
-            return replies
-
-    def poll(self) -> list:
-        """Spin the loop until at least one reply lands (or the link
-        dies / is held / times out) — the batched-ack settle primitive.
-        A held link returns immediately with whatever was buffered:
-        nothing can arrive while the outbound queue is parked, exactly
-        like the in-process transport's empty flush."""
-        with self._lock:
-            replies = self._collect()
-            if replies or self.faults.blocks_delivery:
-                return replies
-            deadline = time.monotonic() + self.timeout
-            while not replies and not self._conn.closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._loop.close_conn(self._conn)
-                    break
-                self._loop.run_once(min(remaining, 0.2))
-                replies = self._collect()
+                if isinstance(reply, CursorAckFrame):
+                    # Cumulative: answers everything the peer received
+                    # before emitting it (FIFO link, cursors cover all).
+                    self._pending = 0
+                else:
+                    self._pending = max(0, self._pending - 1)
+                self._record_reply(data, reply)
+                replies.append(reply)
             return replies
 
     def request(self, frame: Frame) -> Frame:
@@ -604,7 +569,7 @@ class ReactorTransport(Transport):
                 )
             deadline = time.monotonic() + self.timeout
             while True:
-                for reply in self._collect():
+                for reply in self.flush():
                     if isinstance(reply, QueryResponseFrame):
                         return reply
                     self._stray.append(reply)

@@ -78,9 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AdaptiveWindow", "SentRecord", "PeerState", "FanoutEngine"]
 
-#: Settle rounds a wait-drain attempts before giving up on a peer that
-#: keeps losing frames (each round is probe → poll → apply).
+#: Settle rounds a peer may close without advancing any cursor before a
+#: wait-drain gives up on it as frame-losing (a round is probe → ack).
 _DRAIN_ROUNDS = 4
+
+#: Bound (seconds) on a wait-drain's shared reactor wait.
+_DRAIN_TIMEOUT = 5.0
 
 
 @dataclass
@@ -231,6 +234,18 @@ class PeerState:
         self.sent_lsns[table] = self.acked_lsns.get(table, 0)
 
 
+@dataclass
+class _Settle:
+    """One peer's progress through a wait-drain."""
+
+    peer: PeerState
+    #: Closed rounds that advanced no cursor.
+    burned: int = 0
+    #: Acked cursors when the open round was solicited (``None``: no
+    #: round is open).
+    opened: Optional[tuple] = None
+
+
 class FanoutEngine:
     """Concurrent, flow-controlled delta/snapshot delivery to all edges.
 
@@ -263,12 +278,9 @@ class FanoutEngine:
         #: = in-process links only).  Set by
         #: :class:`~repro.edge.deploy.Deployment`; pumps then collect
         #: already-ready acks without flushing (frames keep coalescing
-        #: per connection), and ``drain(wait=True)`` becomes one
-        #: readiness-driven settle over *all* peers at once instead of
-        #: per-peer probe→poll rounds.
+        #: per connection), and ``drain(wait=True)`` waits on it for
+        #: the probes still in flight on its links.
         self.reactor = None
-        #: Settle deadline for the reactor drain (seconds).
-        self.drain_timeout = 5.0
 
     # ------------------------------------------------------------------
     # Frame source hooks
@@ -515,7 +527,7 @@ class FanoutEngine:
         self, peer: PeerState, names: list, force_snapshot: bool, payloads: dict
     ) -> int:
         with peer.lock:
-            self._drain(peer)
+            self._collect(peer)
             shipped = 0
             for table in names:
                 if force_snapshot:
@@ -527,157 +539,92 @@ class FanoutEngine:
     def drain(self, name: Optional[str] = None, wait: bool = False) -> None:
         """Collect and apply outstanding acks without sending deltas.
 
-        Pipelining transports (the socket transport's non-blocking
-        sends) leave acks in the link until the next pump; deployments
-        call this to settle cursors after a propagation round.  With
-        ``wait=True`` this is the batched-ack settle loop: apply what
-        is buffered, and while frames remain outstanding on a live
-        link, solicit a :class:`~repro.edge.transport.CursorProbeFrame`
-        and poll for the cumulative ack — one probe settles the whole
-        window.  A link that dies mid-settle has its optimistic state
-        forgotten (frames the peer never processed are resent by a
-        later pump — a lost tail is never silently dropped), and a
-        held-but-alive in-process link is simply left outstanding,
-        exactly as before.  Never do ``wait=True`` on the write path.
+        ``wait=False`` applies the replies that have already landed.
+        ``wait=True`` is the settle loop, one for every medium: each
+        peer in turn applies what landed, opens a round by soliciting
+        a :class:`~repro.edge.transport.CursorProbeFrame`, and closes
+        it when a cumulative ack lands — one probe settles the whole
+        window.  Peers whose probe is still in a reactor link then
+        share one ``run_once`` wait, bounded by ``_DRAIN_TIMEOUT``.
+
+        One give-up rule: a covered peer is done; a dead link forgets
+        its optimistic state (later pumps resend — a lost tail is
+        never silently dropped); a held or partitioned link, or a
+        failed or dropped probe (the window is already charged), keeps
+        it; ``_DRAIN_ROUNDS`` closed rounds that advance no cursor, or
+        the deadline, mark the peer frame-losing and forget.  Never do
+        ``wait=True`` on the write path.
         """
         peers = [self.peer(name)] if name is not None else list(self.peers.values())
-        if wait and self.reactor is not None:
-            # Reactor-backed peers settle together off readiness
-            # notifications; anything else (in-process links in a mixed
-            # fleet) keeps the per-peer settle loop.
-            shared = [p for p in peers if self._reactor_backed(p)]
-            rest = [p for p in peers if not self._reactor_backed(p)]
-            if shared:
-                self._drain_reactor(shared)
-            peers = rest
-        for peer in peers:
-            with peer.lock:
-                self._drain(peer, wait=wait)
-
-    def _reactor_backed(self, peer: PeerState) -> bool:
-        return getattr(peer.transport, "_loop", None) is self.reactor
-
-    def _drain_reactor(self, peers: list) -> None:
-        """Settle every reactor peer off the loop's readiness signal.
-
-        The per-peer settle (:meth:`_drain`) is probe→poll rounds —
-        over N edges that is N blocking reply waits per drain.  Here the
-        probes for *all* peers are enqueued first (each rides the same
-        vectored write as the peer's queued deltas), then one
-        ``select`` loop waits for whichever edges answer, applying
-        cumulative acks as they land — no busy polling, no per-peer
-        blocking, and a dead or held link never delays the rest.
-        Semantics per peer are unchanged: a dead link forgets its
-        optimistic state (later pumps resend), a held-but-alive link
-        keeps it, and a peer still uncovered at the deadline is treated
-        as frame-losing, exactly like exhausted settle rounds.
-        """
-        pending: list = []
-        for peer in peers:
-            with peer.lock:
-                self._process_replies(peer, peer.transport.flush(wait=False))
-                if not peer.outstanding and not peer.probe_inflight:
-                    continue
-                if not peer.transport.connected:
-                    self._forget_outstanding(peer)
-                    continue
-                faults = getattr(peer.transport, "faults", None)
-                if faults is not None and faults.blocks_delivery:
-                    continue  # parked queue: keep optimism, settle later
-                status = self._solicit(peer)
-                if status in ("failed", "dropped"):
-                    if not peer.transport.connected:
-                        self._forget_outstanding(peer, fault=False)
-                    continue
-                pending.append(peer)
-        deadline = time.monotonic() + self.drain_timeout
-        while pending:
+        if not wait:
+            for peer in peers:
+                with peer.lock:
+                    self._collect(peer)
+            return
+        waiting = [s for s in map(_Settle, peers) if self._settle_step(s)]
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
+        while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             self.reactor.run_once(min(remaining, 0.2))
-            still: list = []
-            for peer in pending:
-                with peer.lock:
-                    self._process_replies(
-                        peer, peer.transport.flush(wait=False)
-                    )
-                    if not peer.outstanding and not peer.probe_inflight:
-                        continue
-                    if not peer.transport.connected:
-                        self._forget_outstanding(peer)
-                        continue
-                    faults = getattr(peer.transport, "faults", None)
-                    if faults is not None and faults.blocks_delivery:
-                        continue
-                    if not peer.probe_inflight:
-                        # A partial ack landed (coalescing threshold)
-                        # but frames remain: re-solicit the rest.
-                        self._solicit(peer)
-                    still.append(peer)
-            pending = still
-        for peer in pending:
-            # Deadline exhausted with frames still uncovered on a live,
-            # unparked link: it is losing frames.  Forget the optimism
-            # so later pumps resend — never a silently-dropped tail.
-            with peer.lock:
-                if peer.outstanding:
-                    self._forget_outstanding(peer)
+            waiting = [s for s in waiting if self._settle_step(s)]
+        for settle in waiting:
+            with settle.peer.lock:
+                if settle.peer.outstanding:
+                    self._forget_outstanding(settle.peer)
 
-    def _drain(self, peer: PeerState, wait: bool = False) -> None:
-        self._process_replies(peer, peer.transport.flush(wait=False))
-        if not wait:
-            return
-        rounds = 0
-        while rounds < _DRAIN_ROUNDS:
-            if not peer.outstanding and not peer.probe_inflight:
-                return
-            if not peer.transport.connected:
-                self._forget_outstanding(peer)
-                return
-            before = (dict(peer.acked_lsns), dict(peer.acked_epochs))
-            status = self._solicit(peer)
-            if status in ("failed", "dropped"):
-                # The probe itself could not travel (the solicit
-                # already charged the window); if the link object is
-                # dead the optimism is forgotten, otherwise (a
-                # partitioned in-process link) the frames may still be
-                # delivered later — leave them outstanding.
+    def _collect(self, peer: PeerState) -> None:
+        """Apply every reply the peer's link has already landed."""
+        self._process_replies(peer, peer.transport.flush())
+
+    def _settle_step(self, settle: _Settle) -> bool:
+        """Advance one peer's settle as far as its link allows; True
+        while its open round waits on a reactor link."""
+        peer = settle.peer
+        with peer.lock:
+            while True:
+                self._collect(peer)
+                if settle.opened is not None and not peer.probe_inflight:
+                    # A cumulative ack closed the round.  Progress costs
+                    # no budget (bounded: cursors are monotone and
+                    # clamped to the log head); "no news" (e.g. a relay
+                    # aggregate omitting a lagging table) burns a round.
+                    if self._cursors(peer) == settle.opened:
+                        settle.burned += 1
+                    settle.opened = None
+                if not peer.outstanding and not peer.probe_inflight:
+                    return False
                 if not peer.transport.connected:
-                    self._forget_outstanding(peer, fault=False)
-                return
-            if not peer.outstanding and not peer.probe_inflight:
-                return  # delivered probe settled everything synchronously
-            if status != "delivered":
-                replies = peer.transport.poll()
-                if not replies:
-                    if not peer.transport.connected:
+                    self._forget_outstanding(peer)
+                    return False
+                if settle.opened is None:
+                    if settle.burned >= _DRAIN_ROUNDS:
+                        # The link keeps losing frames (drop injection,
+                        # or a peer rejecting frames without nacks).
                         self._forget_outstanding(peer)
-                    return  # held-but-alive link: keep optimism, retry later
-                self._process_replies(peer, replies)
-            # else: the probe round-tripped synchronously and its ack
-            # is already applied, yet frames remain uncovered — the
-            # peer's cumulative ack omitted their tables (e.g. a
-            # relay-aggregated ack whose slowest downstream edge lags).
-            # Burn a settle round and probe again; this path used to
-            # return here with the optimism intact, which treated "no
-            # news" as good news — the records stayed outstanding
-            # forever, sent_lsns never reset, no pump resent the tail,
-            # and the window eventually wedged.
-            #
-            # A round whose ack advanced *any* cursor is progress, not
-            # loss: it does not consume budget (bounded — cursors are
-            # monotone and clamped to the log head), so a healthy but
-            # lagging peer is not declared frame-losing and flooded
-            # with resends.
-            if (dict(peer.acked_lsns), dict(peer.acked_epochs)) == before:
-                rounds += 1
-        # Settle rounds exhausted with frames still uncovered: the link
-        # is losing frames (drop injection, or a peer rejecting frames
-        # without nacks).  Forget the optimism so later pumps resend —
-        # the tail must never be silently dropped.
-        if peer.outstanding:
-            self._forget_outstanding(peer)
+                        return False
+                    settle.opened = self._cursors(peer)
+                    status = self._solicit(peer)
+                    if status in ("failed", "dropped"):
+                        # The solicit already charged the window; a
+                        # partitioned link may still deliver later.
+                        if not peer.transport.connected:
+                            self._forget_outstanding(peer, fault=False)
+                        return False
+                    continue  # collect the answer (or see it is pending)
+                faults = getattr(peer.transport, "faults", None)
+                if faults is not None and faults.blocks_delivery:
+                    return False  # held or partitioned: keep optimism
+                # Only frames still in a reactor link can answer.
+                return (
+                    self.reactor is not None
+                    and peer.transport.queued_frames > 0
+                )
+
+    @staticmethod
+    def _cursors(peer: PeerState) -> tuple:
+        return dict(peer.acked_lsns), dict(peer.acked_epochs)
 
     def _solicit(self, peer: PeerState) -> str:
         """Ask the peer for its cumulative cursors (ack solicitation)."""
@@ -1016,6 +963,16 @@ class FanoutEngine:
         peer.probe_inflight = False
         self._settle(peer, credit_latency=not solicited)
         self._on_cursors_advanced(peer)
+
+    def apply_replies(self, name: str, replies: Sequence) -> None:
+        """Apply reply frames from ``name`` that reached this engine by
+        another route than the peer's transport — an in-process
+        relay's upstream outbox (spontaneous aggregate acks and
+        escalation nacks), which a socket relay would have written to
+        the link itself."""
+        peer = self.peer(name)
+        with peer.lock:
+            self._process_replies(peer, replies)
 
     def observe_response_cursors(
         self, name: str, cursors: Sequence[tuple[str, int, int]]

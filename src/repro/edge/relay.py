@@ -30,9 +30,10 @@ What a relay adds to the protocol:
   edges (the relay's own store head when none are connected), so the
   upstream view never overstates what the *subtree* durably holds.  A
   table some connected edge has no cursor for yet is **omitted** from
-  the aggregate — "no news", which upstream's drain treats as neither
-  progress nor regression (see the stall bugfix in
-  :meth:`FanoutEngine._drain <repro.edge.fanout.FanoutEngine._drain>`).
+  the aggregate — "no news", which upstream's settle treats as neither
+  progress nor regression: the round burns settle budget instead of
+  wedging (see :meth:`FanoutEngine.drain
+  <repro.edge.fanout.FanoutEngine.drain>`).
 * **Nacks are never aggregated** — a downstream tamper/gap/diverged
   signal keeps its immediate escalation: the relay re-verifies the
   implicated stored chain, heals the edge from its own store when the
@@ -114,7 +115,7 @@ from repro.exceptions import (
     TransportError,
 )
 
-__all__ = ["RelayFanout", "RelayServer", "RelayHost", "run_relay"]
+__all__ = ["RelayFanout", "RelayServer", "RelayHost", "run_relay", "settle_tree"]
 
 
 @dataclass
@@ -775,6 +776,39 @@ class RelayServer:
             edge=self.name, payload=b"",
             error=f"no downstream edge answered: {last_error}",
         )
+
+
+def settle_tree(central, relays: Sequence[RelayServer], rounds: int = 20):
+    """Drive an in-process central → relays → edges tree to quiescence.
+
+    Each round propagates and settles the central's links, then has
+    every relay pump and settle its edges and hand its upstream outbox
+    to the central (a socket relay's serve loop writes it to the
+    link).  Returns the rounds used, or ``None`` when the tree did not
+    settle within ``rounds``.
+    """
+    for used in range(1, rounds + 1):
+        central.propagate()
+        central.fanout.drain(wait=True)
+        for relay in relays:
+            relay.fanout.pump()
+            relay.fanout.drain(wait=True)
+            frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
+            if frames:
+                central.fanout.apply_replies(relay.name, frames)
+        settled = all(
+            central.fanout.staleness(relay.name, t) == 0
+            for relay in relays
+            for t in central.vbtrees
+        ) and all(
+            relay.fanout.staleness(name, t) == 0
+            for relay in relays
+            for name in relay.fanout.peers
+            for t in central.vbtrees
+        )
+        if settled:
+            return used
+    return None
 
 
 # ---------------------------------------------------------------------------

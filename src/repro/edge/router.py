@@ -200,27 +200,17 @@ class TransportQueryChannel:
             frames (an in-process link wired to
             :meth:`~repro.edge.edge_server.EdgeServer.handle_frame`, or
             an accepted :class:`~repro.edge.event_loop.ReactorTransport`).
-        simulated_latency: Report the channel model's deterministic
-            transfer seconds (request + reply —
-            :class:`~repro.edge.network.Channel`'s rtt/bandwidth math)
-            instead of wall clock.  The right choice for in-process
-            fabrics, where wall-clock differences are noise but a
-            per-link ``rtt_seconds`` makes "the slow edge" an exact,
-            reproducible quantity.
-        clock: Wall-clock source when ``simulated_latency`` is off.
+
+    Latency is the channel model's deterministic transfer seconds
+    (request + reply — :class:`~repro.edge.network.Channel`'s
+    rtt/bandwidth math), not wall clock: in-process wall-clock
+    differences are noise, while a per-link ``rtt_seconds`` makes "the
+    slow edge" an exact, reproducible quantity.
     """
 
-    def __init__(
-        self,
-        name: str,
-        transport: Transport,
-        simulated_latency: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, name: str, transport: Transport) -> None:
         self.name = name
         self.transport = transport
-        self.simulated_latency = simulated_latency
-        self._clock = clock
 
     def request(self, frame: QueryRequestFrame) -> tuple[QueryResponseFrame, float]:
         """One query round-trip; returns ``(response, latency_seconds)``.
@@ -229,20 +219,16 @@ class TransportQueryChannel:
             TransportError: If the link is down/faulted or the peer
                 answered with something other than a query response.
         """
-        start = self._clock()
         reply = self.transport.request(frame)
         if not isinstance(reply, QueryResponseFrame):
             raise TransportError(
                 f"edge {self.name!r} answered a query with "
                 f"{type(reply).__name__}"
             )
-        if self.simulated_latency:
-            latency = (
-                self.transport.down_channel.transfers[-1].seconds
-                + self.transport.up_channel.transfers[-1].seconds
-            )
-        else:
-            latency = self._clock() - start
+        latency = (
+            self.transport.down_channel.transfers[-1].seconds
+            + self.transport.up_channel.transfers[-1].seconds
+        )
         return reply, latency
 
 
@@ -258,15 +244,9 @@ class DeploymentQueryChannel:
     round-trip is exactly what a latency-aware policy should route on.
     """
 
-    def __init__(
-        self,
-        deployment,
-        name: str,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, deployment, name: str) -> None:
         self.deployment = deployment
         self.name = name
-        self._clock = clock
 
     def request(self, frame: QueryRequestFrame) -> tuple[QueryResponseFrame, float]:
         """One query round-trip over the edge's current connection.
@@ -278,7 +258,7 @@ class DeploymentQueryChannel:
         handle = self.deployment.edges.get(self.name)
         if handle is None or handle.transport is None or not handle.transport.connected:
             raise TransportError(f"edge {self.name!r} is not connected")
-        start = self._clock()
+        start = time.perf_counter()
         reply = handle.transport.request(frame)
         if not isinstance(reply, QueryResponseFrame):
             raise TransportError(
@@ -292,7 +272,7 @@ class DeploymentQueryChannel:
         self.deployment.central.fanout.observe_response_cursors(
             self.name, reply.cursors
         )
-        return reply, self._clock() - start
+        return reply, time.perf_counter() - start
 
 
 def in_process_query_channel(
@@ -309,7 +289,7 @@ def in_process_query_channel(
     """
     link = InProcessTransport(edge.name, down_channel, up_channel)
     link.connect(edge.handle_frame)
-    return TransportQueryChannel(edge.name, link, simulated_latency=True)
+    return TransportQueryChannel(edge.name, link)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,9 @@ snapshots, VOs), so the transport layer — and anything that can
 read/modify it, a relay included — is untrusted by construction.  A
 ``Transport`` instance belongs to the single sender thread that calls
 ``send``/``flush``; concurrency, where it exists, is the medium's
-concern (the reactor's queue lock, the TCP transport's per-connection
-thread), never the codec's.  The authoritative field tables for every
-frame live in ``docs/ARCHITECTURE.md`` (enforced by
-``tools/check_docs.py``).
+concern (the reactor's queue lock), never the codec's.  The
+authoritative field tables for every frame live in
+``docs/ARCHITECTURE.md`` (enforced by ``tools/check_docs.py``).
 """
 
 from __future__ import annotations
@@ -810,10 +809,14 @@ class SendOutcome:
 class Transport:
     """Abstract point-to-point frame transport (central/client side).
 
-    Concrete transports implement :meth:`send` and :meth:`flush`; the
-    edge side registers a frame handler via :meth:`connect` (in-process)
-    or speaks the same frames over a socket
-    (:mod:`repro.edge.socket_transport`).
+    Concrete transports implement :meth:`send`, :meth:`flush` and
+    :meth:`request`; the edge side registers a frame handler via
+    :meth:`connect` (in-process) or speaks the same frames over a
+    socket (:mod:`repro.edge.socket_transport`).  Neither ``send`` nor
+    ``flush`` ever waits for a reply: acks are settled by the fan-out
+    engine's one settle loop (:meth:`FanoutEngine.drain
+    <repro.edge.fanout.FanoutEngine.drain>`), and only the query path's
+    :meth:`request` blocks, for its own answer.
 
     Byte metering lives *here*, not in the concrete transports: every
     implementation records outbound frames through :meth:`_record_send`
@@ -876,34 +879,19 @@ class Transport:
         """Ship one frame; never raises on link faults (see outcome)."""
         raise NotImplementedError
 
-    def flush(self, wait: bool = False) -> list:
+    def flush(self) -> list:
         """Deliver/collect queued frames; returns the peer's replies.
 
-        ``wait`` only matters to transports whose replies arrive
-        asynchronously (the socket transport): ``False`` collects what
-        is already available without blocking the caller (safe on a
-        write path), ``True`` blocks until every outstanding reply has
-        arrived (a settle point, e.g. before checking staleness).
-        ``wait=True`` assumes the pre-batching one-reply-per-frame
-        cadence; callers settling a *coalescing* peer must instead
-        drive :meth:`poll` themselves (the fan-out engine's
-        probe-then-poll drain), because the number of replies is no
-        longer knowable from the number of sends.
+        Never blocks: it hands over whatever replies the medium has
+        already produced (an in-process link delivers its queued
+        frames once faults clear; a reactor link decodes what earlier
+        loop spins landed).  Waiting for replies is the settle loop's
+        job (:meth:`FanoutEngine.drain
+        <repro.edge.fanout.FanoutEngine.drain>`), which solicits one
+        cumulative ack per round instead of counting one reply per
+        sent frame — under ack coalescing that count is unknowable.
         """
         raise NotImplementedError
-
-    def poll(self) -> list:
-        """Block until at least one reply frame is available (or the
-        link dies), then return everything available.
-
-        The settle primitive for the batched-ack protocol (DESIGN.md
-        section 10): after soliciting a :class:`CursorProbeFrame`, the
-        fan-out engine polls for the cumulative ack instead of
-        counting one reply per sent frame.  Returns ``[]`` only when
-        nothing can arrive anymore — the link is dead, held, or timed
-        out — never as "not yet".
-        """
-        return self.flush(wait=True)
 
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (the query path).
@@ -989,12 +977,11 @@ class InProcessTransport(Transport):
             transfer=transfer,
         )
 
-    def flush(self, wait: bool = False) -> list:
+    def flush(self) -> list:
         """Drain held frames once faults have cleared.
 
         Returns the peer's accumulated reply frames; a no-op (empty
         list) while the link is still partitioned or holding.
-        (Delivery is synchronous in-process, so ``wait`` is moot.)
         """
         if self.faults.partitioned or self.faults.hold:
             return []

@@ -9,7 +9,7 @@ a bogus ``ok=True``."""
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.digests import DigestEngine, DigestPolicy
@@ -42,6 +42,10 @@ def wire_setup(request, schema, keypair):
 
 class TestByteFlipFuzz:
     @given(st.integers(min_value=0, max_value=10**9), st.integers(0, 255))
+    # A bumped D_S entry count in the FLATTENED fixture (6403 bytes):
+    # the decoder read past the end of the buffer and leaked a raw
+    # IndexError instead of a typed rejection.
+    @example(position=1575, new_byte=1)
     @settings(
         max_examples=250,
         deadline=None,
@@ -93,7 +97,7 @@ class TestByteFlipFuzz:
             result_from_bytes(garbage)
         except ACCEPTABLE:
             pass
-        except (OverflowError, IndexError):
+        except OverflowError:
             pass  # hostile length fields; still not a crash of ours
         # If it parsed (astronomically unlikely), that's fine too —
         # verification is the gate, not parsing.

@@ -29,6 +29,7 @@ their own.
 import random
 import select as select_mod
 import socket
+import threading
 import time
 
 import pytest
@@ -497,3 +498,126 @@ class TestReactorDeployment:
                     == reactor[name].get(kind, 0)
                 ), f"{kind} bytes diverge across media for {name}"
             assert in_process[name].get("delta", 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# One settle loop: the in-process give-up rule, now on reactor links too
+# ---------------------------------------------------------------------------
+
+
+class TestReactorSettleRule:
+    """``FanoutEngine.drain(wait=True)`` applies one give-up rule to
+    every medium.  These pin the three places where reactor links
+    used to follow a rule of their own."""
+
+    def test_partitioned_link_is_solicited_once_per_settle(self):
+        """A partitioned link gets its probe attempted like an
+        in-process one: the send fails, the window halves once per
+        settle, and the optimism is kept (the parked frames may still
+        be delivered once the partition heals)."""
+        central, deploy, host, _names = _tcp_fleet(1)
+        try:
+            link = deploy.edges["edge-0"].transport
+            peer = central.fanout.peer("edge-0")
+            link.faults.hold = True
+            for key in range(9001, 9004):
+                central.insert("items", (key, "a", "b", "c"))
+            link.faults.hold = False
+            link.faults.partitioned = True
+            assert peer.inflight == 3
+            size = peer.window.size
+            start = time.perf_counter()
+            central.fanout.drain("edge-0", wait=True)
+            assert time.perf_counter() - start < 1.0
+            assert peer.window.size == size // 2
+            assert peer.inflight == 3
+            central.fanout.drain("edge-0", wait=True)
+            assert peer.window.size == size // 4
+            link.faults.clear()
+            deploy.sync()
+            assert central.staleness("edge-0", "items") == 0
+        finally:
+            host.close()
+            deploy.shutdown()
+
+    def test_held_link_queues_its_probe_behind_the_parked_frames(self):
+        """A held link's probe is queued (not skipped), so the round
+        is open when the hold clears; the settle itself returns at
+        once with the optimism kept."""
+        central, deploy, host, _names = _tcp_fleet(1)
+        try:
+            link = deploy.edges["edge-0"].transport
+            peer = central.fanout.peer("edge-0")
+            link.faults.hold = True
+            for key in range(9001, 9004):
+                central.insert("items", (key, "a", "b", "c"))
+            start = time.perf_counter()
+            central.fanout.drain("edge-0", wait=True)
+            assert time.perf_counter() - start < 1.0
+            assert peer.probe_inflight
+            assert peer.inflight == 3
+            assert link.queued_frames == 4  # three deltas + the probe
+            link.faults.clear()
+            central.fanout.drain("edge-0", wait=True)
+            assert peer.inflight == 0
+            assert not peer.probe_inflight
+            assert central.staleness("edge-0", "items") == 0
+        finally:
+            host.close()
+            deploy.shutdown()
+
+    def test_answered_rounds_without_progress_burn_the_budget(self):
+        """A peer that answers every probe with a cumulative ack that
+        covers nothing (e.g. a relay aggregate omitting a lagging
+        table) is frame-losing after ``_DRAIN_ROUNDS`` rounds — not
+        re-probed until the wall-clock deadline."""
+        from repro.edge.fanout import _DRAIN_ROUNDS, _DRAIN_TIMEOUT
+        from repro.edge.socket_transport import recv_frame, send_frame
+        from repro.edge.transport import (
+            CursorAckFrame,
+            CursorProbeFrame,
+            frame_from_bytes,
+        )
+
+        central = make_central()
+        left, right = socket.socketpair()
+        right.settimeout(_DRAIN_TIMEOUT)
+        loop = EdgeEventLoop()
+        central.fanout.reactor = loop
+        probes = []
+
+        def no_news_peer():
+            try:
+                while (data := recv_frame(right)) is not None:
+                    if isinstance(frame_from_bytes(data), CursorProbeFrame):
+                        probes.append(data)
+                        ack = CursorAckFrame(edge="stub", cursors=())
+                        send_frame(right, frame_to_bytes(ack))
+            except (OSError, TransportError):
+                pass  # the test tore the link down
+
+        stub = threading.Thread(target=no_news_peer)
+        stub.start()
+        try:
+            transport = ReactorTransport("stub", loop, left, timeout=5)
+            lsn = central.replicator.log_for("items").last_lsn
+            epoch = central.keyring.current_epoch
+            central.attach_remote_edge(
+                "stub", transport, cursors=[("items", lsn, epoch)],
+                config_epoch=epoch,
+            )
+            central.insert("items", (9001, "a", "b", "c"))
+            peer = central.fanout.peer("stub")
+            assert peer.inflight == 1
+            start = time.perf_counter()
+            central.fanout.drain("stub", wait=True)
+            elapsed = time.perf_counter() - start
+            assert elapsed < _DRAIN_TIMEOUT / 2
+            assert len(probes) == _DRAIN_ROUNDS
+            # Frame-losing: optimism forgotten so a later pump resends.
+            assert peer.inflight == 0
+            assert peer.cursor("items") == lsn
+        finally:
+            loop.close()
+            right.close()
+            stub.join(timeout=10)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.wire import result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer, _TableStore
+from repro.edge.relay import RelayServer, _TableStore, settle_tree
 from repro.edge.sharding import ShardMap
 from repro.edge.transport import (
     CursorAckFrame,
@@ -85,31 +85,6 @@ def agg_map(relay):
     return {t: (lsn, epoch) for t, lsn, epoch in relay.aggregated_cursors()}
 
 
-def tree_sync(central, relay, edges, rounds=10):
-    """Drive the whole tree to quiescence, relaying spontaneous
-    upstream acks by hand (the socket serve loop's job)."""
-    relay_peer = central.fanout.peer(relay.name)
-    for _ in range(rounds):
-        central.propagate()
-        central.fanout.drain(wait=True)
-        relay.fanout.pump()
-        relay.fanout.drain(wait=True)
-        frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
-        if frames:
-            central.fanout._process_replies(relay_peer, frames)
-        settled = all(
-            central.fanout.staleness(relay.name, t) == 0
-            for t in central.vbtrees
-        ) and all(
-            relay.fanout.staleness(name, t) == 0
-            for name in edges
-            for t in central.vbtrees
-        )
-        if settled:
-            return True
-    return False
-
-
 class TestHelloRole:
     def test_default_role_adds_no_bytes(self):
         """An edge hello encodes exactly as before the role field —
@@ -145,10 +120,8 @@ class TestStoreAndForward:
         up.connect(tap_relay)
 
         downstream_frames = {}
-        edges = {}
         for name in ("edge-0", "edge-1"):
             edge, down = attach_edge(relay, name)
-            edges[name] = edge
             downstream_frames[name] = taps = []
             inner = edge.handle_frame
 
@@ -160,10 +133,10 @@ class TestStoreAndForward:
 
             down.connect(tap_edge)
 
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
         for key in range(1000, 1010):
             central.insert(TABLE, (key, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
 
         # Byte identity: the relay re-serialized nothing it could alter.
         sent = set(upstream_frames)
@@ -206,11 +179,10 @@ class TestCursorAggregation:
         slow (held) edge pins it even while its sibling advances."""
         central = make_central()
         relay, up = attach_relay(central)
-        edges = {}
         transports = {}
         for name in ("edge-0", "edge-1"):
-            edges[name], transports[name] = attach_edge(relay, name)
-        assert tree_sync(central, relay, edges)
+            _, transports[name] = attach_edge(relay, name)
+        assert settle_tree(central, [relay], rounds=10)
         base = agg_map(relay)[TABLE]
 
         transports["edge-1"].faults.hold = True
@@ -230,7 +202,7 @@ class TestCursorAggregation:
 
         transports["edge-1"].faults.hold = False
         transports["edge-1"].flush()
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
         assert agg_map(relay)[TABLE][0] == relay.store[TABLE].head
 
     def test_fresh_edge_omits_table_and_cannot_stall_or_regress(self):
@@ -241,21 +213,20 @@ class TestCursorAggregation:
         the fresh edge heals, settle completes."""
         central = make_central()
         relay, up = attach_relay(central)
-        edges = {"edge-0": attach_edge(relay, "edge-0")[0]}
-        assert tree_sync(central, relay, edges)
+        attach_edge(relay, "edge-0")
+        assert settle_tree(central, [relay], rounds=10)
         relay_peer = central.fanout.peer(relay.name)
         banked = relay_peer.acked_lsns[TABLE]
         assert banked == relay.store[TABLE].head
 
         # Fresh replica-less edge: no cursor for TABLE yet.
-        edges["edge-1"] = attach_edge(relay, "edge-1")[0]
+        attach_edge(relay, "edge-1")
         assert TABLE not in agg_map(relay)
 
         # An explicitly empty cumulative ack is "no news", not "lost
         # everything".
-        central.fanout._process_replies(
-            relay_peer,
-            [CursorAckFrame(edge=relay.name, cursors=())],
+        central.fanout.apply_replies(
+            relay.name, [CursorAckFrame(edge=relay.name, cursors=())]
         )
         assert relay_peer.acked_lsns[TABLE] == banked
 
@@ -269,7 +240,7 @@ class TestCursorAggregation:
         assert relay_peer.acked_lsns[TABLE] >= banked
 
         # Full settle once the subtree heals.
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
         assert central.fanout.staleness(relay.name, TABLE) == 0
         assert agg_map(relay)[TABLE][0] == relay.store[TABLE].head
 
@@ -357,8 +328,8 @@ class TestTamperThroughRelay:
         whole subtree."""
         central = make_central()
         relay, up = attach_relay(central)
-        edges = {"edge-0": attach_edge(relay, "edge-0")[0]}
-        assert tree_sync(central, relay, edges)
+        attach_edge(relay, "edge-0")
+        assert settle_tree(central, [relay], rounds=10)
 
         for key in range(4000, 4003):
             central.insert(TABLE, (key, "a", "b"))
@@ -384,11 +355,9 @@ class TestTamperThroughRelay:
             if getattr(f, "reason", "") == "diverged" and not f.ok
         ]
         assert diverged, "no immediate upstream diverged nack"
-        central.fanout._process_replies(
-            central.fanout.peer(relay.name), nacks
-        )
+        central.fanout.apply_replies(relay.name, nacks)
 
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
         client = central.make_client()
         reply = up.request(range_query_frame(TABLE, 4000, 4002, None, None))
         result = result_from_bytes(reply.payload)
@@ -437,18 +406,7 @@ class TestRouterQuarantineThroughRelay:
                     return replies
 
                 down.connect(corrupt)
-            for _ in range(8):
-                central.propagate()
-                central.fanout.drain(wait=True)
-                relay.fanout.pump()
-                relay.fanout.drain(wait=True)
-                frames = [
-                    frame_from_bytes(b) for b in relay.pending_upstream()
-                ]
-                if frames:
-                    central.fanout._process_replies(
-                        central.fanout.peer(rname), frames
-                    )
+            assert settle_tree(central, [relay], rounds=8)
 
         channels = [
             TransportQueryChannel(name, links[name]) for name in sorted(links)
@@ -472,8 +430,9 @@ class TestRotationAndConfigPassThrough:
         under the new key."""
         central = make_central()
         relay, up = attach_relay(central)
-        edges = {n: attach_edge(relay, n)[0] for n in ("edge-0", "edge-1")}
-        assert tree_sync(central, relay, edges)
+        for name in ("edge-0", "edge-1"):
+            attach_edge(relay, name)
+        assert settle_tree(central, [relay], rounds=10)
         old_epoch = relay.store[TABLE].epoch
 
         central.rotate_key()
@@ -486,7 +445,7 @@ class TestRotationAndConfigPassThrough:
         assert frame_from_bytes(replies[0]).reason == "config"
 
         central.insert(TABLE, (5000, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay], rounds=10)
         assert relay.store[TABLE].epoch > old_epoch
         client = central.make_client()
         reply = up.request(range_query_frame(TABLE, 5000, 5000, None, None))

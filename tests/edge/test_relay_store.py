@@ -15,7 +15,7 @@ import pytest
 from repro.core.wire import result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer
+from repro.edge.relay import RelayServer, settle_tree
 from repro.edge.transport import (
     InProcessTransport,
     config_from_frame,
@@ -64,34 +64,11 @@ def attach_edge(relay, name):
     return edge, down
 
 
-def tree_sync(central, relay, edges, rounds=20):
-    relay_peer = central.fanout.peer(relay.name)
-    for _ in range(rounds):
-        central.propagate()
-        central.fanout.drain(wait=True)
-        relay.fanout.pump()
-        relay.fanout.drain(wait=True)
-        frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
-        if frames:
-            central.fanout._process_replies(relay_peer, frames)
-        settled = all(
-            central.fanout.staleness(relay.name, t) == 0
-            for t in central.vbtrees
-        ) and all(
-            relay.fanout.staleness(name, t) == 0
-            for name in edges
-            for t in central.vbtrees
-        )
-        if settled:
-            return True
-    return False
-
-
 def build_tree(rows=40, edge_names=("edge-0", "edge-1"), **relay_kwargs):
     central = make_central(rows=rows)
     relay, up = attach_relay(central, **relay_kwargs)
     edges = {n: attach_edge(relay, n)[0] for n in edge_names}
-    assert tree_sync(central, relay, edges)
+    assert settle_tree(central, [relay])
     return central, relay, up, edges
 
 
@@ -110,7 +87,7 @@ class TestRetainedBytes:
         st = relay.store[TABLE]
         before = st.retained_bytes()
         central.insert(TABLE, (9001, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         assert len(st.deltas) >= 1
         assert st.retained_bytes() > before
 
@@ -126,7 +103,7 @@ class TestByteCapEviction:
         relay.max_store_bytes = snapshot_bytes + 100
         for key in range(9001, 9011):
             central.insert(TABLE, (key, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         assert relay.counters["store_evictions"] >= 1
         st = relay.store[TABLE]
         # Healed: fresh snapshot at the head, chain empty (compact).
@@ -145,7 +122,7 @@ class TestByteCapEviction:
         central, relay, up, edges = build_tree()
         relay.max_store_bytes = 10  # absurd: under any snapshot
         central.insert(TABLE, (9001, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         st = relay.store[TABLE]
         assert st.snapshot is not None  # healed, not wedged
         assert st.deltas == []  # but no chain is ever retained
@@ -155,7 +132,7 @@ class TestByteCapEviction:
         central, relay, up, edges = build_tree()
         for key in range(9001, 9011):
             central.insert(TABLE, (key, "a", "b"))
-            assert tree_sync(central, relay, edges)
+            assert settle_tree(central, [relay])
         assert relay.counters["store_evictions"] == 0
         assert len(relay.store[TABLE].deltas) >= 10
 
@@ -168,7 +145,7 @@ class TestCompaction:
         central, relay, up, edges = build_tree()
         for key in range(9001, 9004):
             central.insert(TABLE, (key, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         chain = len(relay.store[TABLE].deltas)
         assert chain >= 1
 
@@ -179,7 +156,7 @@ class TestCompaction:
             ack_bytes=central.ack_bytes,
         )
         relay.handle_frame(frame_to_bytes(cfg))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         assert relay.counters["compacted_frames"] >= chain
         st = relay.store[TABLE]
         assert st.deltas == []
@@ -205,7 +182,7 @@ class TestDropStoreHook:
         # Write traffic keeps flowing during the fault (as in the chaos
         # storm); the diverged nack escalates the next ship to snapshot.
         central.insert(TABLE, (9050, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        assert settle_tree(central, [relay])
         st = relay.store[TABLE]
         assert st.snapshot is not None
         client = central.make_client()

@@ -177,6 +177,18 @@ def _echo_acks(sock, count, *, lsn_of=lambda i: i + 1):
         send_frame(sock, frame_to_bytes(ack))
 
 
+def spin_until_answered(transport, loop, timeout=5.0):
+    """Spin ``loop`` until ``transport`` has no unanswered frame (or
+    its link dies) and return every reply collected on the way — what
+    the fan-out engine's settle loop does for a whole fleet."""
+    replies = transport.flush()
+    deadline = time.monotonic() + timeout
+    while transport.queued_frames and time.monotonic() < deadline:
+        loop.run_once(0.05)
+        replies.extend(transport.flush())
+    return replies
+
+
 @pytest.fixture
 def link(pair):
     """A :class:`ReactorTransport` over one end of a socketpair, its
@@ -190,12 +202,12 @@ def link(pair):
 
 class TestReactorTransport:
     """The central link's surface over a real socket.  ``send`` only
-    enqueues, so bytes leave on the next loop spin (``run_once``,
-    ``flush(wait=True)``, ``poll`` or ``request``), and a dead peer
-    shows up at that spin rather than inside ``send``."""
+    enqueues, so bytes leave on the next loop spin (``run_once`` or
+    ``request``), ``flush`` only collects what spins landed, and a
+    dead peer shows up at a spin rather than inside ``send``."""
 
     def test_pipelined_sends_then_flush(self, link):
-        transport, _loop, right = link
+        transport, loop, right = link
         peer = threading.Thread(target=_echo_acks, args=(right, 3))
         peer.start()
         try:
@@ -203,7 +215,7 @@ class TestReactorTransport:
                 outcome = transport.send(DeltaFrame("t", b"d%d" % i))
                 assert outcome.status == "queued"
             assert transport.queued_frames == 3
-            replies = transport.flush(wait=True)
+            replies = spin_until_answered(transport, loop)
         finally:
             peer.join()
         assert [r.lsn for r in replies] == [1, 2, 3]
@@ -228,10 +240,10 @@ class TestReactorTransport:
         assert not transport.connected
 
     def test_flush_on_dead_link_forgets_inflight(self, link):
-        transport, _loop, right = link
+        transport, loop, right = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
         right.close()  # peer dies with the ack outstanding
-        assert transport.flush(wait=True) == []
+        assert spin_until_answered(transport, loop) == []
         assert transport.queued_frames == 0
         assert not transport.connected
         assert transport.send(DeltaFrame("t", b"d2")).status == "failed"
@@ -250,7 +262,7 @@ class TestReactorTransport:
         assert transport.connected
         # The ack is picked up once the peer answers.
         _echo_acks(right, 1)
-        replies = transport.flush(wait=True)
+        replies = spin_until_answered(transport, loop)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
@@ -276,19 +288,19 @@ class TestReactorTransport:
         assert transport.connected
         assert transport.queued_frames == 1
         right.sendall(wire[7:])  # the rest arrives
-        replies = transport.flush(wait=True)
+        replies = spin_until_answered(transport, loop)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
     def test_cumulative_ack_settles_all_pending(self, link):
         """A coalescing peer answers many sends with one cumulative
         ack.  Per-frame pending accounting would drift upward forever
-        and make ``flush(wait=True)`` block (then tear down the healthy
-        link) waiting for replies that are never coming — the
-        cumulative ack must zero the pending count."""
+        and keep the link looking unanswered (a settle waiting on it
+        would spin, then give up on a healthy link) — the cumulative
+        ack must zero the pending count."""
         from repro.edge.transport import CursorAckFrame
 
-        transport, _loop, right = link
+        transport, loop, right = link
 
         def coalescing_peer():
             for _ in range(3):
@@ -302,11 +314,11 @@ class TestReactorTransport:
             for i in range(3):
                 transport.send(DeltaFrame("t", b"d%d" % i))
             start = time.perf_counter()
-            replies = transport.flush(wait=True)
+            replies = spin_until_answered(transport, loop)
             elapsed = time.perf_counter() - start
         finally:
             thread.join()
-        assert elapsed < 3.0, f"flush blocked {elapsed:.1f}s on a settled link"
+        assert elapsed < 3.0, f"spun {elapsed:.1f}s on a settled link"
         assert [type(r).__name__ for r in replies] == ["CursorAckFrame"]
         assert transport.queued_frames == 0
         assert transport.connected
